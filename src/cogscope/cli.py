@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import METRIC_IDS, analyze_source
 from .errors import MiniLangError
-from .report import CSV_COLUMNS, render_csv, render_json, render_text, report_document
+from .report import CSV_COLUMNS, csv_record, render_csv, render_json, render_text, report_document
 from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
 _METRIC_CHOICES = ("all", "escim", "cfs", "cicm", "mccm", "cpcm", "scim")
@@ -29,6 +29,13 @@ def _env_seed(default: int = 1) -> int:
         return int(raw)
     except ValueError:
         return default
+
+
+def _trial_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     weyuker = sub.add_parser("weyuker", help="run the Weyuker conformance suite")
     weyuker.add_argument("--seed", type=int, default=None)
-    weyuker.add_argument("--trials", type=int, default=1000)
+    weyuker.add_argument("--trials", type=_trial_count, default=1000)
     weyuker.add_argument("--metrics", default="escim,cfs,cicm,mccm,cpcm,scim_icn,loc")
     weyuker.add_argument("--format", choices=("text", "json"), default="text")
     weyuker.add_argument("--witness-dir", default=None, help="write witness programs as .ml1 files")
@@ -67,9 +74,13 @@ def cmd_analyze(args) -> int:
     failed = False
     for path in args.paths:
         try:
-            source = Path(path).read_text()
+            source = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             print(f"{path}: cannot read: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        except UnicodeDecodeError:
+            print(f"{path}: cannot decode", file=sys.stderr)
             failed = True
             continue
         try:
@@ -175,10 +186,13 @@ def cmd_corpus(args) -> int:
     failures = []
     for path in sorted(directory.glob("*.ml1")):
         try:
-            analysis = analyze_source(path.read_text(), path=str(path))
+            analysis = analyze_source(path.read_text(encoding="utf-8"), path=str(path))
         except (OSError, MiniLangError) as exc:
             message = exc.render(str(path)) if isinstance(exc, MiniLangError) else str(exc)
             failures.append(message)
+            continue
+        except UnicodeDecodeError:
+            failures.append(f"{path}: cannot decode")
             continue
         rows.append((str(path), analysis))
     if args.csv:
@@ -188,20 +202,8 @@ def cmd_corpus(args) -> int:
         lines = [header]
         ranked = sorted(rows, key=lambda r: (-r[1].program.efficiency_e, r[0]))
         for path, analysis in rows:
-            program = analysis.program
-            record = (
-                path,
-                program.loc,
-                program.wc,
-                program.cfs,
-                f"{program.cicm:.6f}",
-                program.mccm,
-                program.cpcm,
-                program.scim_icn,
-                program.escim,
-                f"{program.efficiency_e:.6f}",
-            )
-            lines.append("  ".join(str(v).rjust(12) for v in record))
+            record = csv_record(path, analysis)
+            lines.append("  ".join(str(record[c]).rjust(12) for c in CSV_COLUMNS))
         lines.append("")
         lines.append("ranked by efficiency E:")
         for rank, (path, analysis) in enumerate(ranked, start=1):

@@ -17,10 +17,11 @@ Cognitive weights:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import Span
-from .resolve import Occurrence, ResolvedUnit
+from .resolve import ResolvedUnit
 from .syntax import (
     Assign,
     Block,
@@ -106,6 +107,21 @@ class GranuleTree:
             g = stack.pop()
             yield g
             stack.extend(reversed(g.children))
+
+    def fold(self, direct: Callable[[Granule], int]) -> tuple[int, dict[int, int]]:
+        """The scoring rule over the tree: nesting multiplies, siblings add.
+
+        A granule's value is weight x (direct(g) + the sum of its children's
+        values).  Returns the sum over the top granules and each granule's
+        value by id.
+        """
+        values: dict[int, int] = {}
+
+        def value(g: Granule) -> int:
+            v = values[g.id] = g.weight * (direct(g) + sum(map(value, g.children)))
+            return v
+
+        return sum(map(value, self.top)), values
 
 
 # ============================================================
@@ -299,13 +315,7 @@ def granulate(resolved: ResolvedUnit, function: str) -> GranuleTree:
 
 def structural_weight(tree: GranuleTree) -> int:
     """CFS weight Wc: nesting multiplies, sequence adds, leaves score their weight."""
-
-    def value(g: Granule) -> int:
-        if g.is_leaf:
-            return g.weight
-        return g.weight * sum(value(c) for c in g.children)
-
-    return sum(value(g) for g in tree.top)
+    return tree.fold(lambda g: int(g.is_leaf))[0]
 
 
 # ============================================================
@@ -356,10 +366,3 @@ def partition_check(tree: GranuleTree, resolved: ResolvedUnit) -> bool:
         owned.extend(g.owned_stmts)
     return sorted(owned) == sorted(simple_ids)
 
-
-def granule_occurrences(
-    tree: GranuleTree, resolved: ResolvedUnit
-) -> dict[int, list[Occurrence]]:
-    routing = occurrence_routing(tree, resolved)
-    occs = resolved.occurrences
-    return {gid: [occs[i] for i in indices] for gid, indices in routing.items()}

@@ -6,6 +6,12 @@ weight times the sum of its children plus an implicit weight-1 leaf covering
 its own header occurrences.  The granule-ICN variant applies the same fold
 with I in place of SI.  The simplest component (one operator-free assignment
 in a linear block) scores exactly 1, the measure's unit.
+
+A granule's region holds exactly the occurrences routed to its subtree:
+every simple statement belongs to exactly one granule, and parameter and
+global occurrences lie outside every function body.  So the per-granule
+report builds each region from the routing, children before parents, and
+never compares spans.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UndefinedEfficiencyError
-from .granules import Granule, GranuleTree, occurrence_routing
+from .granules import GranuleTree, occurrence_routing
 from .info import InfoAnnotations, info_content_at, scope_information_at
 from .resolve import IoClassification
 
@@ -47,26 +53,16 @@ def cpcm(io: IoClassification, wc: int) -> int:
     return io.s_io + wc
 
 
-def _fold(tree: GranuleTree, per_granule_value) -> int:
-    def value(g: Granule) -> int:
-        direct = per_granule_value(g)
-        if g.is_leaf:
-            return g.weight * direct
-        return g.weight * (sum(value(c) for c in g.children) + direct)
-
-    return sum(value(g) for g in tree.top)
-
-
 def escim(tree: GranuleTree, ann: InfoAnnotations) -> int:
     """Structural cognitive information measure of one function, in ESCIU."""
     routing = occurrence_routing(tree, ann.resolved)
-    return _fold(tree, lambda g: scope_information_at(ann, routing[g.id]))
+    return tree.fold(lambda g: scope_information_at(ann, routing[g.id]))[0]
 
 
 def scim_icn(tree: GranuleTree, ann: InfoAnnotations) -> int:
     """Granule-ICN complexity: the ESCIM fold with I in place of SI."""
     routing = occurrence_routing(tree, ann.resolved)
-    return _fold(tree, lambda g: info_content_at(ann, routing[g.id]))
+    return tree.fold(lambda g: info_content_at(ann, routing[g.id]))[0]
 
 
 def efficiency(escim_value: float, loc: int) -> float:
@@ -101,23 +97,13 @@ class GranuleRow:
 def granule_report(tree: GranuleTree, ann: InfoAnnotations) -> list[GranuleRow]:
     """Per-granule SI/I values, fold contributions, and flat weight x SI rows."""
     routing = occurrence_routing(tree, ann.resolved)
-
-    def fold_value(g: Granule) -> int:
-        direct = scope_information_at(ann, routing[g.id])
-        if g.is_leaf:
-            return g.weight * direct
-        return g.weight * (sum(fold_value(c) for c in g.children) + direct)
-
+    _, contributions = tree.fold(lambda g: scope_information_at(ann, routing[g.id]))
+    regions: dict[int, list[int]] = {}
     rows: list[GranuleRow] = []
-    occs = ann.resolved.occurrences
-    for g in tree.walk():
-        region_indices = [
-            i
-            for i, occ in enumerate(occs)
-            if g.region.start <= occ.span.start and occ.span.end <= g.region.end
-        ]
-        region_si = scope_information_at(ann, region_indices)
-        region_i = info_content_at(ann, region_indices)
+    for g in reversed(list(tree.walk())):  # each granule after its descendants
+        region = routing[g.id] + [i for c in g.children for i in regions[c.id]]
+        regions[g.id] = region
+        region_si = scope_information_at(ann, region)
         rows.append(
             GranuleRow(
                 id=g.id,
@@ -125,8 +111,8 @@ def granule_report(tree: GranuleTree, ann: InfoAnnotations) -> list[GranuleRow]:
                 weight=g.weight,
                 depth=g.depth,
                 si=region_si,
-                i=region_i,
-                contribution=fold_value(g),
+                i=info_content_at(ann, region),
+                contribution=contributions[g.id],
                 flat_weighted_si=g.weight * region_si,
                 children=tuple(c.id for c in g.children),
                 span_start=g.region.start,

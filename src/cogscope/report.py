@@ -8,7 +8,6 @@ and E render with six decimal places in text and CSV.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import __version__
 from .analysis import Analysis
@@ -163,27 +162,26 @@ def render_text(analysis: Analysis, metric_filter: str = "all", granules: bool =
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class CsvRow:
-    path: str
-    values: dict
+def csv_record(path: str, analysis: Analysis) -> dict:
+    """One file's program-level row, keyed by CSV_COLUMNS."""
+    program = analysis.program
+    return {
+        "path": path,
+        "loc": program.loc,
+        "wc": program.wc,
+        "cfs": program.cfs,
+        "cicm": f"{program.cicm:.6f}",
+        "mccm": program.mccm,
+        "cpcm": program.cpcm,
+        "scim_icn": program.scim_icn,
+        "escim": program.escim,
+        "efficiency_e": f"{program.efficiency_e:.6f}",
+    }
 
 
 def render_csv(rows: list[tuple[str, Analysis]]) -> str:
     out = [",".join(CSV_COLUMNS)]
     for path, analysis in rows:
-        program = analysis.program
-        record = {
-            "path": path,
-            "loc": program.loc,
-            "wc": program.wc,
-            "cfs": program.cfs,
-            "cicm": f"{program.cicm:.6f}",
-            "mccm": program.mccm,
-            "cpcm": program.cpcm,
-            "scim_icn": program.scim_icn,
-            "escim": program.escim,
-            "efficiency_e": f"{program.efficiency_e:.6f}",
-        }
+        record = csv_record(path, analysis)
         out.append(",".join(str(record[c]) for c in CSV_COLUMNS))
     return "\n".join(out) + "\n"

@@ -115,9 +115,6 @@ class ResolvedUnit:
     stmt_user_callees: dict[int, tuple[str, ...]]  # stmt id -> user functions called
     function_names: tuple[str, ...]
 
-    def function_occurrences(self, name: str) -> list[Occurrence]:
-        return [o for o in self.occurrences if o.function == name]
-
 
 # ============================================================
 # OPERATOR COUNTING

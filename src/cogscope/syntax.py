@@ -95,9 +95,6 @@ class Decl(Stmt):
     declarators: list[Declarator] = field(default_factory=list)
 
 
-ASSIGN_KINDS = ("=", "+=", "-=", "*=", "/=", "%=", "++", "--")
-
-
 @dataclass
 class Assign(Stmt):
     target: Expr  # Ident or Subscript
@@ -171,9 +168,6 @@ class Return(Stmt):
     value: Expr | None = None
 
 
-CONTROL_STMTS = (If, Switch, For, While, DoWhile, Parallel, Interrupt)
-
-
 # ============================================================
 # TOP LEVEL
 # ============================================================
@@ -225,20 +219,20 @@ def _subclass_tree(cls: type) -> list[type]:
 NODE_CLASSES = frozenset(c for base in NODE_TYPES for c in _subclass_tree(base))
 
 
-def _strip(value):
-    """Recursively convert a node to a span-free comparable structure."""
+def structure_key(value):
+    """A node as a span-free, hashable and comparable structure."""
     if isinstance(value, NODE_TYPES):
         items = [type(value).__name__]
         for key, val in vars(value).items():
             if key in ("span", "name_span"):
                 continue
-            items.append((key, _strip(val)))
+            items.append((key, structure_key(val)))
         return tuple(items)
     if isinstance(value, list):
-        return tuple(_strip(v) for v in value)
+        return tuple(structure_key(v) for v in value)
     return value
 
 
 def same_structure(a, b) -> bool:
     """Structural identity of two trees, ignoring source spans."""
-    return _strip(a) == _strip(b)
+    return structure_key(a) == structure_key(b)

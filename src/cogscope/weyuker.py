@@ -16,13 +16,14 @@ line-based metrics compare rendered text with rendered text.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import METRIC_IDS, Analysis, analyze_source, metric_value
 from .generator import GeneratorConfig, generate
 from .parser import parse_source
 from .render import render
-from .syntax import SourceUnit
+from .syntax import SourceUnit, structure_key
 from .transforms import _collect_names, concat, rename
 
 PROPERTY_IDS = ("1", "2", "3", "4", "5", "6a", "6b", "7", "8", "9")
@@ -228,8 +229,10 @@ class WeyukerHarness:
     """Runs property checks with one shared program pool across metrics."""
 
     def __init__(self, seed: int = 1, trials: int = 1000, config: GeneratorConfig | None = None):
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         self.seed = seed
-        self.trials = max(1, trials)
+        self.trials = trials
         self.base_config = config
         self._pool_texts: list[str] | None = None
         self._pool_values: list[dict[str, float | int]] | None = None
@@ -498,16 +501,8 @@ class WeyukerHarness:
 
 def _is_permutation_pair(before: str, after: str) -> bool:
     """Same multiset of top-level statements, possibly different order."""
-    from .render import _render_stmt  # local import to reuse the renderer
-
-    def stmt_keys(text: str) -> list[str]:
-        unit = parse_source(text)
-        keys = []
-        for stmt in unit.function("main").body.stmts:
-            lines: list[str] = []
-            _render_stmt(stmt, lines, 0)
-            keys.append("\n".join(lines))
-        return sorted(keys)
+    def stmt_keys(text: str) -> Counter:
+        return Counter(map(structure_key, parse_source(text).function("main").body.stmts))
 
     return stmt_keys(before) == stmt_keys(after)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -52,6 +53,15 @@ def test_analyze_missing_file_exits_one(capsys):
     code, _, err = run_cli(["analyze", "no-such-file.ml1"], capsys)
     assert code == 1
     assert "cannot read" in err
+
+
+def test_analyze_undecodable_file_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.ml1"
+    bad.write_bytes(b"void main() {}\xff\n")
+    code, out, err = run_cli(["analyze", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"{bad}: cannot decode\n"
 
 
 def test_analyze_parse_error_reports_location(tmp_path, capsys):
@@ -183,6 +193,16 @@ def test_corpus_bad_file_exits_one(tmp_path, capsys):
     assert "good.ml1" in out
 
 
+def test_corpus_undecodable_file_exits_one(tmp_path, capsys):
+    (tmp_path / "good.ml1").write_text("void main(){int a; a = 1;}")
+    (tmp_path / "bad.ml1").write_bytes(b"void main() {}\xff\n")
+    code, out, err = run_cli(["corpus", str(tmp_path), "--csv"], capsys)
+    assert code == 1
+    assert err == f"{tmp_path / 'bad.ml1'}: cannot decode\n"
+    assert "good.ml1" in out
+    assert "bad.ml1" not in out
+
+
 def test_corpus_missing_directory_exits_two(capsys):
     code, _, err = run_cli(["corpus", "definitely-not-here"], capsys)
     assert code == 2
@@ -223,6 +243,14 @@ def test_weyuker_loc_expectations_matched(capsys):
 def test_weyuker_unknown_metric_exits_two(capsys):
     code, _, err = run_cli(["weyuker", "--metrics", "bogus"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_weyuker_nonpositive_trials_is_a_usage_error(trials, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["weyuker", "--trials", trials])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_weyuker_same_seed_byte_identical(capsys):
@@ -271,6 +299,43 @@ def test_weyuker_json_format(capsys):
     payload = json.loads(out)
     assert payload["results"]["escim"]["5"]["status"] == "satisfied"
     assert payload["matches_expected"]["escim"] is True
+
+
+# ---------- byte stability ----------
+
+# sha256 of stdout, pinned so that a refactor which changes any output byte
+# fails here.  Paths are given relative to the repository root, as they
+# appear in the report's input_file.
+ANALYZE_JSON_SHA256 = {
+    "eg1.ml1": "cfccc4cc278a9c75a2cfc141b7618dc8393b692c247f9dc7246ca19a58da37e9",
+    "eg2.ml1": "74c8e880c7ec31845dcd1b6cb072b50116f2432ee9db8fee2835516377b9a1a4",
+    "eg3.ml1": "5d78347f9712828b93a19d2e088911980d06cdd03d88be50d23bdb528cb3ebfe",
+    "eg4.ml1": "ace68d66525dc4837e9e3247d274bded110c850db9901def054b2121634b5729",
+    "empty.ml1": "56830e6ecf257978e0c3e9ec5f76ffc783385386847e0ae4958ede037c9376e1",
+    "esciu.ml1": "21ed4bf3dec94ae53044c8f0826809117a43d368d14bf2617e507d2a4b899020",
+    "p4_formula.ml1": "5eb62f2d144b9cdfce425e9cf5028aff8e33e973d5676ee8f00c7d4d9b77ba45",
+    "p4_loop.ml1": "05ed0e51e722d58e712fdf563f6f9789de08aa446969843be17a348eb55241da",
+}
+WEYUKER_200_SHA256 = "aa8cbb01102b4f7a8b7ae1a948de0409a97ba56389687d842ec658889cfcf3b9"
+
+
+def _stdout_sha256(args: list[str], capsys) -> str:
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_JSON_SHA256))
+def test_analyze_json_bytes_are_pinned(name, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    args = ["analyze", f"tests/fixtures/{name}", "--format", "json"]
+    assert _stdout_sha256(args, capsys) == ANALYZE_JSON_SHA256[name]
+
+
+def test_weyuker_json_bytes_are_pinned(capsys):
+    args = ["weyuker", "--seed", "1", "--trials", "200",
+            "--metrics", "escim,loc,mccm,cpcm", "--format", "json"]
+    assert _stdout_sha256(args, capsys) == WEYUKER_200_SHA256
 
 
 # ---------- installed entry point ----------

@@ -152,9 +152,76 @@ def test_region_monotonicity_over_generated_programs():
                 check(top, [])
 
 
+# Every statement form, comments, nested bare blocks, multi-declarators, an
+# array initializer, `::g`, and user calls in a statement and an expression.
+FULL_LANGUAGE = """\
+// every statement form, comments and nested bare blocks
+int g = 3, h;
+int table[] = {1, 2, 3};
+
+int twice(int v) {
+    return v * 2;
+}
+
+void report(int k, int xs[]) {
+    print(k, xs[0]);
+}
+
+void main() {
+    int a = read(), b, c[];
+    /* a comment
+       over two lines */
+    {
+        b = ::g + a;
+        {
+            int g = 5;
+            g += ::g;
+            report(g, table);
+        }
+    }
+    for (int i = 0; i < a; i++) {
+        b = b + twice(i);
+        if (b > 10) {
+            b -= 1;
+        } else {
+            b++;
+        }
+    }
+    do {
+        a--;
+        { h = a % 2; }
+    } while (a > 0);
+    switch (b) {
+        case 1: {
+            a = 1;
+        }
+        case -2: {
+            while (a < 4) {
+                a = a + twice(a);
+            }
+        }
+        default: {
+            print("none");
+        }
+    }
+    parallel {
+        int p = a;
+        interrupt {
+            p = p * ::h;
+        }
+    }
+    interrupt {
+        report(b, table);
+    }
+    print(a, b);
+}
+"""
+
+
 def test_oracle_agreement_spot_checks(fixture_text):
-    for name in ("eg1.ml1", "eg2.ml1", "eg3.ml1", "p4_loop.ml1"):
-        source = fixture_text(name)
+    sources = {n: fixture_text(n) for n in ("eg1.ml1", "eg2.ml1", "eg3.ml1", "p4_loop.ml1")}
+    sources["full language"] = FULL_LANGUAGE
+    for name, source in sources.items():
         resolved, ann = _annotated(source)
         oracle_unit = parse_source(source)
         records = replay(oracle_unit)
@@ -174,3 +241,7 @@ def test_oracle_agreement_spot_checks(fixture_text):
                 assert info_content(ann, g.region) == oracle_i(
                     records, g.region.start, g.region.end
                 )
+        for fn in analysis.trees:
+            for row in analysis.granule_rows(fn):
+                assert row.si == oracle_si(records, row.span_start, row.span_end), (name, row.id)
+                assert row.i == oracle_i(records, row.span_start, row.span_end), (name, row.id)

@@ -160,6 +160,12 @@ def test_unknown_metric_and_property_rejected(harness):
         harness.check_property("11", "escim")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_harness_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        WeyukerHarness(seed=1, trials=trials)
+
+
 def test_check_property_convenience_wrapper():
     result = check_property("4", "loc", trials=10, seed=2)
     assert result.status == "satisfied"
