@@ -85,8 +85,6 @@ def analyze_source(source: str, path: str = "<memory>") -> Analysis:
 
     trees: dict[str, GranuleTree] = {}
     functions: dict[str, FunctionMetrics] = {}
-    totals = {"cfs": 0, "mccm": 0, "cpcm": 0, "scim_icn": 0, "escim": 0, "wc": 0}
-    wics_sum = cicm_sum = 0.0
     for fn in unit.functions:
         tree = granulate(resolved, fn.name)
         trees[fn.name] = tree
@@ -111,28 +109,16 @@ def analyze_source(source: str, path: str = "<memory>") -> Analysis:
             si_total=scope_information(ann, fn_region),
         )
         functions[fn.name] = metrics
-        totals["cfs"] += metrics.cfs
-        totals["mccm"] += metrics.mccm
-        totals["cpcm"] += metrics.cpcm
-        totals["scim_icn"] += metrics.scim_icn
-        totals["escim"] += metrics.escim
-        totals["wc"] += wc
-        wics_sum += wics_value
-        cicm_sum += cicm_value
 
-    line_info = classify_lines(tokens)
-    loc = line_info.loc
+    loc = classify_lines(tokens).loc
     whole = Span(0, len(source) + 1, 1, 1)
+    totals = {
+        name: sum(getattr(m, name) for m in functions.values())  # in function order
+        for name in ("wc", "cfs", "wics", "cicm", "mccm", "cpcm", "scim_icn", "escim")
+    }
     program = ProgramMetrics(
         loc=loc,
-        wc=totals["wc"],
-        cfs=totals["cfs"],
-        wics=wics_sum,
-        cicm=cicm_sum,
-        mccm=totals["mccm"],
-        cpcm=totals["cpcm"],
-        scim_icn=totals["scim_icn"],
-        escim=totals["escim"],
+        **totals,
         efficiency_e=efficiency(totals["escim"], loc) if loc else 0.0,
         info_total=info_content(ann, whole),
         si_total=scope_information(ann, whole),

@@ -15,10 +15,16 @@ from pathlib import Path
 
 from .analysis import METRIC_IDS, analyze_source
 from .errors import MiniLangError
-from .report import CSV_COLUMNS, csv_record, render_csv, render_json, render_text, report_document
+from .report import (
+    CSV_COLUMNS,
+    METRIC_FILTERS,
+    csv_record,
+    render_csv,
+    render_json,
+    render_text,
+    report_document,
+)
 from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
-
-_METRIC_CHOICES = ("all", "escim", "cfs", "cicm", "mccm", "cpcm", "scim")
 
 
 def _env_seed(default: int = 1) -> int:
@@ -48,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze MiniLang files")
     analyze.add_argument("paths", nargs="+", help="MiniLang source files (.ml1)")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
-    analyze.add_argument("--metric", choices=_METRIC_CHOICES, default="all")
+    analyze.add_argument("--metric", choices=tuple(METRIC_FILTERS), default="all")
     analyze.add_argument("--granules", action="store_true", help="include the per-granule table")
 
     weyuker = sub.add_parser("weyuker", help="run the Weyuker conformance suite")

@@ -134,6 +134,12 @@ class _Gen:
                 return
             self.gen_stmt(depth)
 
+    def nested(self, depth: int, count: int) -> None:
+        """A block body in a scope of its own."""
+        self.push()
+        self.gen_block(depth, count)
+        self.pop()
+
     def pick_form(self, depth: int) -> str:
         weights = self.cfg.weights
         forms: list[str] = []
@@ -207,33 +213,19 @@ class _Gen:
                 self.emit(depth, f"return {rng.choice(scalars)};")
             else:
                 self.emit(depth, "return;")
-        elif form == "if":
-            self.emit(depth, f"if ({self.cond()}) {{")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
+        elif form in ("if", "while"):
+            self.emit(depth, f"{form} ({self.cond()}) {{")
+            self.nested(depth + 1, rng.randrange(1, 3))
             self.emit(depth, "}")
         elif form == "if_else":
             self.emit(depth, f"if ({self.cond()}) {{")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
+            self.nested(depth + 1, rng.randrange(1, 3))
             self.emit(depth, "} else {")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
-            self.emit(depth, "}")
-        elif form == "while":
-            self.emit(depth, f"while ({self.cond()}) {{")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
+            self.nested(depth + 1, rng.randrange(1, 3))
             self.emit(depth, "}")
         elif form == "dowhile":
             self.emit(depth, "do {")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
+            self.nested(depth + 1, rng.randrange(1, 3))
             self.emit(depth, f"}} while ({self.cond()});")
         elif form == "for":
             loop_var = rng.choice(self.pool)
@@ -248,28 +240,16 @@ class _Gen:
             self.emit(depth, f"switch ({rng.choice(self.visible(arrays=False))}) {{")
             for value in range(rng.randrange(1, 3)):
                 self.emit(depth + 1, f"case {value}: {{")
-                self.push()
-                self.gen_block(depth + 2, 1)
-                self.pop()
+                self.nested(depth + 2, 1)
                 self.emit(depth + 1, "}")
             if rng.random() < 0.6:
                 self.emit(depth + 1, "default: {")
-                self.push()
-                self.gen_block(depth + 2, 1)
-                self.pop()
+                self.nested(depth + 2, 1)
                 self.emit(depth + 1, "}")
             self.emit(depth, "}")
-        elif form == "parallel":
-            self.emit(depth, "parallel {")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
-            self.emit(depth, "}")
-        elif form == "interrupt":
-            self.emit(depth, "interrupt {")
-            self.push()
-            self.gen_block(depth + 1, rng.randrange(1, 3))
-            self.pop()
+        elif form in ("parallel", "interrupt"):
+            self.emit(depth, f"{form} {{")
+            self.nested(depth + 1, rng.randrange(1, 3))
             self.emit(depth, "}")
         elif form == "block":
             self.emit(depth, "{")

@@ -36,6 +36,7 @@ from .syntax import (
     Stmt,
     Switch,
     While,
+    walk,
 )
 
 SEQ = "SEQ"
@@ -346,21 +347,7 @@ def occurrence_routing(tree: GranuleTree, resolved: ResolvedUnit) -> dict[int, l
 def partition_check(tree: GranuleTree, resolved: ResolvedUnit) -> bool:
     """Every simple statement of the function is owned by exactly one granule."""
     fn = resolved.unit.function(tree.function)
-    simple_ids: list[int] = []
-
-    def collect(stmts: list[Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, Block):
-                collect(s.stmts)
-            elif isinstance(s, (Decl, Assign, CallStmt, Return)):
-                simple_ids.append(id(s))
-            else:
-                for sid in _header_stmt_ids(s):
-                    simple_ids.append(sid)
-                for stream in _body_streams(s):
-                    collect(stream)
-
-    collect(fn.body.stmts)
+    simple_ids = [id(s) for s in walk(fn.body) if isinstance(s, (Decl, Assign, CallStmt, Return))]
     owned: list[int] = []
     for g in tree.walk():
         owned.extend(g.owned_stmts)

@@ -74,6 +74,14 @@ _BIN_PREC: dict[str, int] = {
 
 _COMPOUND_ASSIGN = ("+=", "-=", "*=", "/=", "%=")
 
+# The deepest nesting a program may have.  A function body is level 1; every
+# block or single-statement body, every `else if`, and in an expression every
+# parenthesis pair, call argument list, subscript and unary operator opens
+# one more level.  The parser and the walks over its tree recurse at most a
+# few frames per level, so any accepted program stays well inside Python's
+# default recursion limit; a deeper one is a located ParseError.
+MAX_NESTING = 100
+
 
 class _Parser:
     # The most frequent nodes are built with positional arguments, in field
@@ -88,6 +96,7 @@ class _Parser:
         self.source_len = source_len
         # Stack of per-scope declared-name sets for duplicate detection.
         self.scopes: list[set[str]] = []
+        self.depth = 0  # open nesting levels, at most MAX_NESTING
 
     # ---------- token plumbing ----------
 
@@ -127,6 +136,12 @@ class _Parser:
             span = tok.span if tok else Span(self.source_len, self.source_len, self._last_line(), 1)
             raise ParseError(f"expected identifier, found {found!r}", span)
         return self.advance()
+
+    def nest(self, tok: Token) -> None:
+        """Open one nesting level at `tok`; the caller closes it with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
 
     def span_from(self, start: Span) -> Span:
         end = self.tokens[self.pos - 1].span.end if self.pos else start.end
@@ -214,7 +229,8 @@ class _Parser:
     # ---------- statements ----------
 
     def parse_block(self, new_scope: bool = True) -> Block:
-        start = self.expect("{").span
+        open_brace = self.expect("{")
+        self.nest(open_brace)
         if new_scope:
             self.scopes.append(set())
         stmts: list[Stmt] = []
@@ -223,15 +239,18 @@ class _Parser:
         if new_scope:
             self.scopes.pop()
         self.expect("}")
-        return Block(self.span_from(start), stmts)
+        self.depth -= 1
+        return Block(self.span_from(open_brace.span), stmts)
 
     def parse_body(self) -> Block:
         """A control-structure body: a block, or one statement wrapped in a block."""
         if self.at("{"):
             return self.parse_block()
+        self.nest(self.tokens[self.pos - 1])  # the ')' or 'else' before the body
         self.scopes.append(set())
         stmt = self.parse_stmt()
         self.scopes.pop()
+        self.depth -= 1
         return Block(span=stmt.span, stmts=[stmt])
 
     def parse_stmt(self) -> Stmt:
@@ -342,7 +361,7 @@ class _Parser:
         return one is not None and one.text == "("
 
     def parse_call_args(self, allow_strings: bool) -> list[Expr]:
-        self.expect("(")
+        self.nest(self.expect("("))
         args: list[Expr] = []
         while not self.at(")"):
             if args:
@@ -357,6 +376,7 @@ class _Parser:
             else:
                 args.append(self.parse_expr())
         self.expect(")")
+        self.depth -= 1
         return args
 
     def parse_lvalue(self) -> Expr:
@@ -374,9 +394,10 @@ class _Parser:
         span = Span(start.span.start, name_tok.span.end, start.span.line, start.span.col)
         node: Expr = Ident(span, name_tok.text, global_qualified)
         if self.at("["):
-            self.advance()
+            self.nest(self.advance())
             index = self.parse_expr()
             close = self.expect("]")
+            self.depth -= 1
             node = Subscript(
                 span=Span(span.start, close.span.end, span.line, span.col),
                 base=node,
@@ -394,7 +415,9 @@ class _Parser:
         if self.at("else"):
             self.advance()
             if self.at("if"):
+                self.nest(self._lookahead[self.pos])
                 nested = self.parse_if()
+                self.depth -= 1
                 else_block = Block(span=nested.span, stmts=[nested])
             else:
                 else_block = self.parse_body()
@@ -500,24 +523,32 @@ class _Parser:
 
     # ---------- expressions ----------
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
+    def parse_expr(self) -> Expr:
+        # Precedence parsing on an explicit stack of (precedence, operator,
+        # left operand), so that a chain of operators costs no recursion.  All
+        # binary operators associate left: an operator first reduces every
+        # pending one of the same or tighter precedence.
+        pending: list[tuple[int, str, Expr]] = []
         node = self.parse_unary()
         while True:
             tok = self._lookahead[self.pos]
-            if tok is None or tok.kind != "operator-symbol":
+            prec = None if tok is None else _BIN_PREC.get(tok.text)
+            while pending and (prec is None or pending[-1][0] >= prec):
+                _, op, lhs = pending.pop()
+                node = Binary(Span(lhs.span.start, node.span.end, lhs.span.line, lhs.span.col), op, lhs, node)
+            if prec is None:
                 return node
-            prec = _BIN_PREC.get(tok.text)
-            if prec is None or prec < min_prec:
-                return node
-            self.advance()
-            rhs = self.parse_expr(prec + 1)  # left associative
-            node = Binary(Span(node.span.start, rhs.span.end, node.span.line, node.span.col), tok.text, node, rhs)
+            self.pos += 1
+            pending.append((prec, tok.text, node))
+            node = self.parse_unary()
 
     def parse_unary(self) -> Expr:
         tok = self._lookahead[self.pos]
         if tok is not None and tok.text in ("-", "!"):
             self.advance()
+            self.nest(tok)
             operand = self.parse_unary()
+            self.depth -= 1
             return Unary(Span(tok.span.start, operand.span.end, tok.span.line, tok.span.col), tok.text, operand)
         return self.parse_postfix()
 
@@ -525,9 +556,10 @@ class _Parser:
         node = self.parse_primary()
         while True:
             if self.at("["):
-                self.advance()
+                self.nest(self.advance())
                 index = self.parse_expr()
                 close = self.expect("]")
+                self.depth -= 1
                 node = Subscript(
                     span=Span(node.span.start, close.span.end, node.span.line, node.span.col),
                     base=node,
@@ -544,9 +576,10 @@ class _Parser:
                 Span(self.source_len, self.source_len, self._last_line(), 1),
             )
         if tok.text == "(":
-            self.advance()
+            self.nest(self.advance())
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "integer-literal":
             self.advance()

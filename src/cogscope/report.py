@@ -26,7 +26,8 @@ CSV_COLUMNS = (
     "efficiency_e",
 )
 
-_FILTERS = {
+# --metric choices: the metric keys each filter keeps besides loc and wc.
+METRIC_FILTERS = {
     "all": None,
     "escim": ("escim",),
     "cfs": ("cfs",),
@@ -56,7 +57,7 @@ def _metric_dict(metrics, metric_filter: str = "all") -> dict:
         "I(L)": metrics.info_total,
         "SI(L)": metrics.si_total,
     }
-    keep = _FILTERS.get(metric_filter)
+    keep = METRIC_FILTERS.get(metric_filter)
     if keep is None:
         return full
     base = {"loc": full["loc"], "wc": full["wc"]}

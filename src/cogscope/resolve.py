@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from .errors import Record, ResolveError, Span
 from .lexer import BUILTINS, LineInfo, Token, classify_lines
 from .syntax import (
-    ArrayInit,
     Assign,
     Binary,
     Block,
@@ -35,17 +34,16 @@ from .syntax import (
     For,
     Ident,
     If,
-    IntLit,
     Interrupt,
     Parallel,
     Return,
     SourceUnit,
     Stmt,
-    StrLit,
     Subscript,
     Switch,
     Unary,
     While,
+    walk,
 )
 
 # ============================================================
@@ -121,22 +119,6 @@ class ResolvedUnit:
 # ============================================================
 
 
-def _expr_ops(expr: Expr | None) -> int:
-    if expr is None:
-        return 0
-    if isinstance(expr, Binary):
-        return 1 + _expr_ops(expr.lhs) + _expr_ops(expr.rhs)
-    if isinstance(expr, Unary):
-        return 1 + _expr_ops(expr.operand)
-    if isinstance(expr, Subscript):
-        return _expr_ops(expr.base) + _expr_ops(expr.index)
-    if isinstance(expr, CallExpr):
-        return sum(_expr_ops(a) for a in expr.args)
-    if isinstance(expr, ArrayInit):
-        return sum(_expr_ops(e) for e in expr.elements)
-    return 0  # Ident, IntLit, StrLit
-
-
 def operator_count(node: Stmt | Expr | None) -> int:
     """Counted operator occurrences of one statement or expression.
 
@@ -146,34 +128,10 @@ def operator_count(node: Stmt | Expr | None) -> int:
     """
     if node is None:
         return 0
-    if isinstance(node, Expr):
-        return _expr_ops(node)
-    if isinstance(node, Assign):
-        compound = 1 if node.op != "=" else 0
-        return compound + _expr_ops(node.target) + _expr_ops(node.value)
-    if isinstance(node, Decl):
-        return sum(_expr_ops(d.init) for d in node.declarators)
-    if isinstance(node, CallStmt):
-        return sum(_expr_ops(a) for a in node.args)
-    if isinstance(node, Return):
-        return _expr_ops(node.value)
-    raise TypeError(f"operator_count over {type(node).__name__} is not statement-local")
-
-
-def _contains_read(expr: Expr | None) -> bool:
-    if expr is None:
-        return False
-    if isinstance(expr, CallExpr):
-        return expr.callee == "read" or any(_contains_read(a) for a in expr.args)
-    if isinstance(expr, Binary):
-        return _contains_read(expr.lhs) or _contains_read(expr.rhs)
-    if isinstance(expr, Unary):
-        return _contains_read(expr.operand)
-    if isinstance(expr, Subscript):
-        return _contains_read(expr.base) or _contains_read(expr.index)
-    if isinstance(expr, ArrayInit):
-        return any(_contains_read(e) for e in expr.elements)
-    return False
+    if not isinstance(node, (Expr, Assign, Decl, CallStmt, Return)):
+        raise TypeError(f"operator_count over {type(node).__name__} is not statement-local")
+    compound = int(isinstance(node, Assign) and node.op != "=")
+    return compound + sum(1 for n in walk(node) if n.__class__ is Binary or n.__class__ is Unary)
 
 
 # ============================================================
@@ -275,30 +233,29 @@ class _Resolver:
 
     # ---------- expressions (reads) ----------
 
-    def walk_reads(self, expr: Expr | None, in_print_arg: bool = False, in_return: bool = False) -> None:
+    def walk_reads(
+        self, expr: Expr | None, in_print_arg: bool = False, in_return: bool = False
+    ) -> tuple[int, bool]:
+        """Emit the reads of one expression in evaluation order.
+
+        Returns the expression's operator count and whether it calls read().
+        """
         if expr is None:
-            return
-        if isinstance(expr, Ident):
-            self.emit(expr, READ, in_print_arg=in_print_arg, in_return=in_return)
-        elif isinstance(expr, Binary):
-            self.walk_reads(expr.lhs, in_print_arg, in_return)
-            self.walk_reads(expr.rhs, in_print_arg, in_return)
-        elif isinstance(expr, Unary):
-            self.walk_reads(expr.operand, in_print_arg, in_return)
-        elif isinstance(expr, Subscript):
-            self.walk_reads(expr.base, in_print_arg, in_return)
-            self.walk_reads(expr.index, in_print_arg, in_return)
-        elif isinstance(expr, CallExpr):
-            self.record_call(expr.callee, expr.span)
-            if expr.callee == "print":
-                raise ResolveError("print cannot be used in an expression", expr.span)
-            inner_print = in_print_arg
-            for arg in expr.args:
-                self.walk_reads(arg, inner_print, in_return)
-        elif isinstance(expr, ArrayInit):
-            for element in expr.elements:
-                self.walk_reads(element, in_print_arg, in_return)
-        # IntLit / StrLit carry no occurrences
+            return 0, False
+        ops = 0
+        has_read = False
+        for node in walk(expr):
+            cls = node.__class__
+            if cls is Ident:
+                self.emit(node, READ, in_print_arg=in_print_arg, in_return=in_return)
+            elif cls is Binary or cls is Unary:
+                ops += 1
+            elif cls is CallExpr:
+                self.record_call(node.callee, node.span)
+                if node.callee == "print":
+                    raise ResolveError("print cannot be used in an expression", node.span)
+                has_read = has_read or node.callee == "read"
+        return ops, has_read
 
     def record_call(self, callee: str, span: Span) -> None:
         if callee in BUILTINS:
@@ -384,35 +341,25 @@ class _Resolver:
 
     def walk_decl(self, stmt: Decl) -> None:
         for d in stmt.declarators:
-            if d.init is not None:
-                self.walk_reads(d.init)
-                self.emit_declare(
-                    d.name,
-                    d.name_span,
-                    DECLARE_INIT,
-                    "global" if self.current_function is None else "local",
-                    ops_delta=_expr_ops(d.init),
-                    rhs_has_read=_contains_read(d.init),
-                )
-            else:
-                self.emit_declare(
-                    d.name,
-                    d.name_span,
-                    DECLARE,
-                    "global" if self.current_function is None else "local",
-                    ops_delta=0,
-                    rhs_has_read=False,
-                )
+            ops, has_read = self.walk_reads(d.init)
+            self.emit_declare(
+                d.name,
+                d.name_span,
+                DECLARE if d.init is None else DECLARE_INIT,
+                "global" if self.current_function is None else "local",
+                ops_delta=ops,
+                rhs_has_read=has_read,
+            )
 
     def walk_assign(self, stmt: Assign) -> None:
-        ops = operator_count(stmt)
-        has_read = _contains_read(stmt.value)
-        self.walk_reads(stmt.value)
+        ops, has_read = self.walk_reads(stmt.value)
+        if stmt.op != "=":  # compound assignment and ++/-- count one operator
+            ops += 1
         # Subscript indices on the target are reads; the base identifier is
         # the written symbol (array-element writes mutate the base symbol).
         target = stmt.target
         if isinstance(target, Subscript):
-            self.walk_reads(target.index)
+            ops += self.walk_reads(target.index)[0]
             base = target.base
         else:
             base = target

@@ -10,7 +10,8 @@ text; child spans nest inside parent spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 from .errors import Span
 
@@ -202,7 +203,7 @@ class SourceUnit:
 
 
 # ============================================================
-# STRUCTURAL EQUALITY (spans excluded)
+# TRAVERSAL
 # ============================================================
 
 
@@ -217,6 +218,41 @@ def _subclass_tree(cls: type) -> list[type]:
 # The same as a set of exact classes, for walkers that test `value.__class__`:
 # NODE_TYPES and every class below them, however deep.
 NODE_CLASSES = frozenset(c for base in NODE_TYPES for c in _subclass_tree(base))
+
+_NODE_NAMES = frozenset(c.__name__ for c in NODE_CLASSES)
+
+# Per node class, the fields whose annotation names a node class (a node, a
+# list of nodes, or an optional node), last field first: the order in which
+# `walk` pushes them.
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in reversed(fields(cls)) if _NODE_NAMES.intersection(re.findall(r"\w+", f.type)))
+    for cls in NODE_CLASSES
+}
+
+
+def walk(node):
+    """Yield `node`, then every node below it: depth first, children in field order.
+
+    For an expression, field order is evaluation order.  The walk keeps its
+    own stack, so a tree of any depth is fine.
+    """
+    stack = [node]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        for name in _CHILD_FIELDS[node.__class__]:
+            value = getattr(node, name)
+            if value.__class__ is list:
+                stack.extend(reversed(value))
+            elif value is not None:
+                push(value)
+
+
+# ============================================================
+# STRUCTURAL EQUALITY (spans excluded)
+# ============================================================
 
 
 def structure_key(value):

@@ -38,6 +38,7 @@ from .syntax import (
     SourceUnit,
     Stmt,
     Subscript,
+    walk,
 )
 
 
@@ -77,17 +78,12 @@ def _renamed(node, mapping: dict[str, str]):
 def _collect_names(unit: SourceUnit) -> set[str]:
     """Every name the program declares or uses: variables, parameters, functions."""
     names: set[str] = set()
-    stack = [unit]
-    while stack:
-        for key, value in stack.pop().__dict__.items():
-            cls = value.__class__
-            if cls is str:
-                if key == "name" or (key == "callee" and value not in BUILTINS):
-                    names.add(value)
-            elif cls is list:
-                stack.extend(value)
-            elif cls in NODE_CLASSES:
-                stack.append(value)
+    for node in walk(unit):
+        fields = node.__dict__
+        if "name" in fields:
+            names.add(fields["name"])
+        elif "callee" in fields and fields["callee"] not in BUILTINS:
+            names.add(fields["callee"])
     return names
 
 

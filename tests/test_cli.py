@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,44 @@ def test_analyze_parse_error_reports_location(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(bad)], capsys)
     assert code == 1
     assert "bad.ml1:1:" in err
+
+
+def _deep_program(body: str) -> str:
+    return "int f(int v) {\n  return v;\n}\nvoid main() {\n  int x = 1;\n  int b[] = {0};\n" + body + "}\n"
+
+
+# Each deep form as a function of n, and the offset from MAX_NESTING of the n
+# at which its deepest point is exactly MAX_NESTING levels: the function body
+# is level 1, and a call's argument list or an else-if's block adds one more.
+NESTED_FORMS = {
+    "parentheses": (lambda n: _deep_program("x = " + "(" * n + "1" + ")" * n + ";\n"), -1),
+    "ifs": (lambda n: _deep_program("if (x) {\n" * n + "x = 2;\n" + "}\n" * n), -1),
+    "whiles around a call": (lambda n: _deep_program("while (x) {\n" * n + "f(x);\n" + "}\n" * n), -2),
+    "else-if chain": (lambda n: _deep_program("if (x) {\n}" + " else if (x) {\n  x = 2;\n}" * n + "\n"), -2),
+    "bare blocks": (lambda n: _deep_program("{\n" * n + "x = 2;\n" + "}\n" * n), -1),
+    "single-statement bodies": (lambda n: _deep_program("while (x)\n" * n + "x = 2;\n"), -1),
+    "unary operators": (lambda n: _deep_program("x = " + "- " * n + "1;\n"), -1),
+    "subscripts": (lambda n: _deep_program("x = " + "b[" * n + "0" + "]" * n + ";\n"), -1),
+    "calls": (lambda n: _deep_program("x = " + "f(" * n + "1" + ")" * n + ";\n"), -1),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NESTED_FORMS))
+def test_nesting_limit_is_a_located_parse_error(form, tmp_path, capsys):
+    from cogscope.parser import MAX_NESTING
+
+    program, offset = NESTED_FORMS[form]
+    path = tmp_path / "deep.ml1"
+    path.write_text(program(MAX_NESTING + offset))
+    code, out, err = run_cli(["analyze", str(path), "--format", "json", "--granules"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["functions"]
+
+    path.write_text(program(MAX_NESTING + offset + 1))
+    code, out, err = run_cli(["analyze", str(path), "--format", "json", "--granules"], capsys)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(rf"{re.escape(str(path))}:\d+:\d+: nesting deeper than {MAX_NESTING} levels\n", err)
 
 
 def test_analyze_metric_filter(fixtures_dir, capsys):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from _replay import oracle_escim, replay
+
+from cogscope.analysis import analyze_source
+from cogscope.cli import main
 from cogscope.errors import ResolveError
 from cogscope.lexer import tokenize
 from cogscope.parser import parse_source
@@ -141,6 +146,33 @@ def test_subscript_and_call_add_nothing():
 def test_target_subscript_operators_count():
     stmt = _stmt("void main(){int k[] = {1, 2}; int i = 1; k[i - 1] = k[i];}", 2)
     assert operator_count(stmt) == 1
+
+
+def test_left_deep_sums_of_2000_terms_analyze(tmp_path, capsys):
+    terms = 2000
+    source = (
+        "void main() {\n"
+        f"    int a = {' + '.join(['1'] * terms)};\n"
+        f"    a = {' + '.join(['a'] * terms)};\n"
+        "    print(a);\n"
+        "}\n"
+    )
+    path = tmp_path / "sum.ml1"
+    path.write_text(source)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    analysis = analyze_source(source)
+    writes = [o for o in analysis.resolved.occurrences if o.kind in ("declare-init", "write")]
+    assert [o.ops_delta for o in writes] == [terms - 1, terms - 1]
+    # The replay oracle recurses once per operator; only it gets a deeper stack.
+    unit = parse_source(source)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * terms)
+    try:
+        expected = oracle_escim(unit, replay(unit))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert analysis.program.escim == expected
 
 
 # ---------- classify_io ----------
