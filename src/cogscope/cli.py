@@ -3,6 +3,12 @@
 Exit codes: 0 success (and, for weyuker, conformance as documented);
 1 analysis failures or conformance mismatch; 2 usage errors.
 The environment variable COGSCOPE_SEED supplies the default seed.
+
+``weyuker`` and ``corpus`` share their trials or files among up to
+``shards.MAX_JOBS`` processes, this one included, and never more than the
+CPUs this process may use; a run of fewer than 2 * ``shards.MIN_SHARD``
+items stays in this process.  Output, stderr and exit code do not depend on
+the number of processes.
 """
 
 from __future__ import annotations
@@ -11,8 +17,10 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
+from . import shards
 from .analysis import METRIC_IDS, analyze_source
 from .errors import MiniLangError
 from .report import (
@@ -121,7 +129,7 @@ def cmd_weyuker(args) -> int:
         if metric not in METRIC_IDS:
             print(f"unknown metric {metric!r}; choose from {', '.join(METRIC_IDS)}", file=sys.stderr)
             return 2
-    harness = WeyukerHarness(seed=seed, trials=args.trials)
+    harness = WeyukerHarness(seed=seed, trials=args.trials, jobs=shards.MAX_JOBS)
     table = harness.run_table(metrics)
 
     if args.witness_dir:
@@ -183,37 +191,44 @@ def cmd_weyuker(args) -> int:
 # ============================================================
 
 
+def _corpus_rows(paths: list[Path], start: int, stop: int) -> list:
+    """Per file of paths[start:stop]: its CSV record and E, or its failure message."""
+    rows = []
+    for path in paths[start:stop]:
+        try:
+            analysis = analyze_source(path.read_text(encoding="utf-8"), path=str(path))
+        except (OSError, MiniLangError) as exc:
+            rows.append(exc.render(str(path)) if isinstance(exc, MiniLangError) else str(exc))
+            continue
+        except UnicodeDecodeError:
+            rows.append(f"{path}: cannot decode")
+            continue
+        rows.append((csv_record(str(path), analysis), analysis.program.efficiency_e))
+    return rows
+
+
 def cmd_corpus(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"{args.directory}: not a directory", file=sys.stderr)
         return 2
-    rows = []
-    failures = []
-    for path in sorted(directory.glob("*.ml1")):
-        try:
-            analysis = analyze_source(path.read_text(encoding="utf-8"), path=str(path))
-        except (OSError, MiniLangError) as exc:
-            message = exc.render(str(path)) if isinstance(exc, MiniLangError) else str(exc)
-            failures.append(message)
-            continue
-        except UnicodeDecodeError:
-            failures.append(f"{path}: cannot decode")
-            continue
-        rows.append((str(path), analysis))
+    paths = sorted(directory.glob("*.ml1"))
+    results = shards.run(partial(_corpus_rows, paths), len(paths), shards.MAX_JOBS)
+    failures = [result for result in results if isinstance(result, str)]
+    rows = [result for result in results if not isinstance(result, str)]
+    records = [record for record, _ in rows]
     if args.csv:
-        sys.stdout.write(render_csv(rows))
+        sys.stdout.write(render_csv(records))
     else:
         header = "  ".join(c.rjust(12) for c in CSV_COLUMNS)
         lines = [header]
-        ranked = sorted(rows, key=lambda r: (-r[1].program.efficiency_e, r[0]))
-        for path, analysis in rows:
-            record = csv_record(path, analysis)
+        for record in records:
             lines.append("  ".join(str(record[c]).rjust(12) for c in CSV_COLUMNS))
         lines.append("")
         lines.append("ranked by efficiency E:")
-        for rank, (path, analysis) in enumerate(ranked, start=1):
-            lines.append(f"  {rank}. {path}  E={analysis.program.efficiency_e:.6f}")
+        ranked = sorted(rows, key=lambda r: (-r[1], r[0]["path"]))
+        for rank, (record, efficiency) in enumerate(ranked, start=1):
+            lines.append(f"  {rank}. {record['path']}  E={efficiency:.6f}")
         sys.stdout.write("\n".join(lines) + "\n")
     for message in failures:
         print(message, file=sys.stderr)

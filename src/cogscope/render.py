@@ -37,6 +37,12 @@ _INDENT = "    "
 
 
 def render_expr(expr: Expr) -> str:
+    """Expression text, every binary operation in parentheses.
+
+    The parser builds an operator chain left-deep, so a loop down the left
+    operands renders a chain of any length; only right operands recurse, as
+    deep as parentheses nest.
+    """
     if isinstance(expr, Ident):
         return ("::" if expr.global_qualified else "") + expr.name
     if isinstance(expr, IntLit):
@@ -44,7 +50,15 @@ def render_expr(expr: Expr) -> str:
     if isinstance(expr, StrLit):
         return expr.raw
     if isinstance(expr, Binary):
-        return f"({render_expr(expr.lhs)} {expr.op} {render_expr(expr.rhs)})"
+        chain = [expr]
+        expr = expr.lhs
+        while isinstance(expr, Binary):
+            chain.append(expr)
+            expr = expr.lhs
+        parts = ["(" * len(chain), render_expr(expr)]
+        for node in reversed(chain):
+            parts.append(f" {node.op} {render_expr(node.rhs)})")
+        return "".join(parts)
     if isinstance(expr, Unary):
         return f"{expr.op}{render_expr(expr.operand)}"
     if isinstance(expr, Subscript):
@@ -59,7 +73,7 @@ def render_expr(expr: Expr) -> str:
 def _render_top(expr: Expr) -> str:
     """Expression at a statement position: no redundant outer parentheses."""
     if isinstance(expr, Binary):
-        return f"{render_expr(expr.lhs)} {expr.op} {render_expr(expr.rhs)}"
+        return render_expr(expr)[1:-1]
     if isinstance(expr, ArrayInit):
         return "{" + ", ".join(_render_top(e) for e in expr.elements) + "}"
     if isinstance(expr, CallExpr):

@@ -180,9 +180,9 @@ def csv_record(path: str, analysis: Analysis) -> dict:
     }
 
 
-def render_csv(rows: list[tuple[str, Analysis]]) -> str:
+def render_csv(records: list[dict]) -> str:
+    """CSV text of ``csv_record`` rows, header first."""
     out = [",".join(CSV_COLUMNS)]
-    for path, analysis in rows:
-        record = csv_record(path, analysis)
+    for record in records:
         out.append(",".join(str(record[c]) for c in CSV_COLUMNS))
     return "\n".join(out) + "\n"

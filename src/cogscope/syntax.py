@@ -255,18 +255,28 @@ def walk(node):
 # ============================================================
 
 
-def structure_key(value):
-    """A node as a span-free, hashable and comparable structure."""
-    if isinstance(value, NODE_TYPES):
-        items = [type(value).__name__]
-        for key, val in vars(value).items():
-            if key in ("span", "name_span"):
-                continue
-            items.append((key, structure_key(val)))
-        return tuple(items)
-    if isinstance(value, list):
-        return tuple(structure_key(v) for v in value)
-    return value
+_SPAN_FIELDS = frozenset({"span", "name_span"})
+
+
+def structure_key(node):
+    """A tree as a span-free, hashable and comparable key.
+
+    The key is flat: per node of `walk(node)`, its class, then per field its
+    value, or for a child field the length of its list or whether it holds a
+    node.  A class fixes its fields, so equal keys mean equal trees, and a
+    tree of any depth builds, hashes and compares without recursion.
+    """
+    key = []
+    for item in walk(node):
+        cls = item.__class__
+        children = _CHILD_FIELDS[cls]
+        key.append(cls)
+        for name, value in vars(item).items():
+            if name in children:
+                key.append(len(value) if value.__class__ is list else value is not None)
+            elif name not in _SPAN_FIELDS:
+                key.append(value)
+    return tuple(key)
 
 
 def same_structure(a, b) -> bool:

@@ -58,21 +58,30 @@ def _unit(program: str | SourceUnit) -> SourceUnit:
 def _renamed(node, mapping: dict[str, str]):
     """A copy of the tree under `node` with every name in `mapping` replaced.
 
-    Nodes are copied; spans, literals and operators are shared.
+    Nodes are copied; spans, literals and operators are shared.  The copy
+    keeps its own stack of (original, copy) pairs, so a tree of any depth is
+    fine.
     """
-    copy = object.__new__(node.__class__)
-    fields = copy.__dict__
-    for key, value in node.__dict__.items():
-        cls = value.__class__
-        if cls is str:
-            if key == "name" or (key == "callee" and value not in BUILTINS):
-                value = mapping.get(value, value)
-        elif cls is list:
-            value = [_renamed(item, mapping) for item in value]
-        elif cls in NODE_CLASSES:
-            value = _renamed(value, mapping)
-        fields[key] = value
-    return copy
+    root = object.__new__(node.__class__)
+    todo = [(node, root)]
+    while todo:
+        node, copy = todo.pop()
+        fields = copy.__dict__
+        for key, value in node.__dict__.items():
+            cls = value.__class__
+            if cls is str:
+                if key == "name" or (key == "callee" and value not in BUILTINS):
+                    value = mapping.get(value, value)
+            elif cls is list:
+                copies = [object.__new__(item.__class__) for item in value]
+                todo.extend(zip(value, copies))
+                value = copies
+            elif cls in NODE_CLASSES:
+                copied = object.__new__(cls)
+                todo.append((value, copied))
+                value = copied
+            fields[key] = value
+    return root
 
 
 def _collect_names(unit: SourceUnit) -> set[str]:

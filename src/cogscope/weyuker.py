@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+from . import shards
 from .analysis import METRIC_IDS, Analysis, analyze_source, metric_value
 from .generator import GeneratorConfig, generate
 from .parser import parse_source
@@ -226,18 +227,30 @@ def _ne(a: float, b: float) -> bool:
 
 
 class WeyukerHarness:
-    """Runs property checks with one shared program pool across metrics."""
+    """Runs property checks with one shared program pool across metrics.
 
-    def __init__(self, seed: int = 1, trials: int = 1000, config: GeneratorConfig | None = None):
+    ``jobs`` bounds the processes that run the trials, the caller's included;
+    the results are the same at any value (see ``shards``).
+    """
+
+    def __init__(
+        self,
+        seed: int = 1,
+        trials: int = 1000,
+        config: GeneratorConfig | None = None,
+        jobs: int = 1,
+    ):
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         self.seed = seed
         self.trials = trials
         self.base_config = config
+        self.jobs = jobs
+        rng = random.Random(seed)
+        self._seeds = [rng.randrange(2**62) for _ in range(trials)]
         self._pool_texts: list[str] | None = None
         self._pool_values: list[dict[str, float | int]] | None = None
         self._concat_values: list[dict[str, float | int]] | None = None
-        self._concat_texts: list[str] | None = None
         self._rename_values: list[dict[str, float | int]] | None = None
         self._candidate_cache: dict[str, dict[str, float | int]] = {}
 
@@ -250,50 +263,66 @@ class WeyukerHarness:
             return cfg
         return GeneratorConfig(seed=seed, max_statements=8, max_nesting_depth=2, variable_pool_size=5)
 
+    def _pool_text(self, i: int) -> str:
+        if self._pool_texts is not None:
+            return self._pool_texts[i]
+        # generator output is already canonical rendered text
+        return generate(self._config_for(self._seeds[i]))
+
     def pool(self) -> list[str]:
         if self._pool_texts is None:
-            rng = random.Random(self.seed)
-            seeds = [rng.randrange(2**62) for _ in range(self.trials)]
-            # generator output is already canonical rendered text
-            self._pool_texts = [generate(self._config_for(s)) for s in seeds]
+            self._pool_texts = [self._pool_text(i) for i in range(self.trials)]
         return self._pool_texts
 
     def pool_values(self) -> list[dict[str, float | int]]:
         self._trial_values()
         return self._pool_values
 
-    def concat_values(self) -> tuple[list[str], list[dict[str, float | int]]]:
+    def concat_values(self) -> list[dict[str, float | int]]:
         self._trial_values()
-        return self._concat_texts, self._concat_values
+        return self._concat_values
 
     def rename_values(self) -> list[dict[str, float | int]]:
         self._trial_values()
         return self._rename_values
 
     def _trial_values(self) -> None:
-        """The pool, concat and rename values of every trial, in one pass.
+        """The pool, concat and rename values of every trial.
 
-        Trial i scores pool[i], composes it with pool[i + 1] (wrapping at the
-        end) and renames it.  The one analysis of each pool program gives the
-        unit that its concatenations and its renaming use, so each program is
-        parsed once, and only the analyses of pool[0] and of the current
-        trial's two programs are alive at a time.
+        Trial i scores pool[i], composes it with pool[i + 1] (wrapping to
+        pool[0] after the last) and renames it under its own RNG, seeded
+        from the harness seed and i.  It needs nothing from other trials, so
+        the trials run as contiguous index ranges (``shards.plan``), each
+        regenerating its programs from the seed list and returning only
+        value dicts; a range ending before the last trial also analyzes the
+        first program of the next.  The values are merged in index order.
         """
         if self._pool_values is not None:
             return
-        texts = self.pool()
-        rng = random.Random(self.seed + 1)
-        pool_values, concat_texts, concat_values, rename_values = [], [], [], []
-        first = p = analyze_source(texts[0])
-        for i in range(len(texts)):
-            q = analyze_source(texts[i + 1]) if i + 1 < len(texts) else first
-            pool_values.append(_metric_values(p))
-            concat_texts.append(concat(p.unit, q.unit))
-            concat_values.append(_values(concat_texts[-1]))
-            rename_values.append(_values(rename(p.unit, _rename_mapping(rng, p.unit))))
+        rows = shards.run(self._trial_rows, self.trials, self.jobs)
+        self._pool_values, self._concat_values, self._rename_values = map(list, zip(*rows))
+
+    def _trial_rows(self, start: int, stop: int) -> list[tuple[dict, dict, dict]]:
+        """(pool, concat, rename) values of trials start..stop-1.
+
+        The one analysis of each pool program gives the unit that its
+        concatenations and its renaming use, so each program is parsed once,
+        and only the analyses of pool[start] and of the current trial's two
+        programs are alive at a time.
+        """
+        rows = []
+        first = p = analyze_source(self._pool_text(start))
+        for i in range(start, stop):
+            j = (i + 1) % self.trials
+            q = first if j == start else analyze_source(self._pool_text(j))
+            rng = random.Random(f"rename:{self.seed}:{i}")
+            rows.append((
+                _metric_values(p),
+                _values(concat(p.unit, q.unit)),
+                _values(rename(p.unit, _rename_mapping(rng, p.unit))),
+            ))
             p = q
-        self._pool_values, self._rename_values = pool_values, rename_values
-        self._concat_texts, self._concat_values = concat_texts, concat_values
+        return rows
 
     def _value_of(self, text: str) -> dict[str, float | int]:
         cached = self._candidate_cache.get(text)
@@ -332,9 +361,9 @@ class WeyukerHarness:
         note = "finiteness clause is not machine-checkable; nonnegativity checked"
         for i, values in enumerate(self.pool_values()):
             if values[metric] < 0:
-                witness = {"P": self.pool()[i], "value_P": values[metric]}
+                witness = {"P": self._pool_text(i), "value_P": values[metric]}
                 return PropertyResult("2", metric, "violated", i + 1, witness, note)
-        return PropertyResult("2", metric, "satisfied", len(self.pool()), None, note)
+        return PropertyResult("2", metric, "satisfied", self.trials, None, note)
 
     # -- P3: distinct programs with equal value --
 
@@ -364,16 +393,17 @@ class WeyukerHarness:
 
     def _check_p5(self, metric: str) -> PropertyResult:
         pool_values = self.pool_values()
-        texts, concat_values = self.concat_values()
-        n = len(pool_values)
+        concat_values = self.concat_values()
+        n = self.trials
         for i in range(n):
             j = (i + 1) % n
             bound = max(pool_values[i][metric], pool_values[j][metric])
             if concat_values[i][metric] < bound - _FLOAT_TOL:
+                p, q = self._pool_text(i), self._pool_text(j)
                 witness = {
-                    "P": self.pool()[i],
-                    "Q": self.pool()[j],
-                    "PQ": texts[i],
+                    "P": p,
+                    "Q": q,
+                    "PQ": concat(p, q),
                     "value_P": pool_values[i][metric],
                     "value_Q": pool_values[j][metric],
                     "value_PQ": concat_values[i][metric],
@@ -444,7 +474,7 @@ class WeyukerHarness:
         for i, (orig, ren) in enumerate(zip(pool_values, renamed)):
             if orig[metric] != ren[metric]:
                 witness = {
-                    "P": self.pool()[i],
+                    "P": self._pool_text(i),
                     "value_P": orig[metric],
                     "value_renamed": ren[metric],
                 }

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from cogscope import shards
 from cogscope.cli import main
+from cogscope.generator import GeneratorConfig, generate
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text())
@@ -338,6 +340,53 @@ def test_weyuker_json_format(capsys):
     payload = json.loads(out)
     assert payload["results"]["escim"]["5"]["status"] == "satisfied"
     assert payload["matches_expected"]["escim"] is True
+
+
+# ---------- sharded runs ----------
+
+
+def _on_cpus(monkeypatch, count: int) -> None:
+    """Let weyuker and corpus use `count` processes, whatever this host has."""
+    monkeypatch.setattr(shards, "usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("trials, fmt", [("200", "json"), ("101", "text")])
+def test_weyuker_output_is_the_same_on_one_or_two_processes(trials, fmt, tmp_path, monkeypatch, capsys):
+    # 101 trials split unevenly, and the last trial wraps to pool[0] in the second shard
+    runs = []
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        assert len(shards.plan(int(trials), shards.MAX_JOBS)) == cpus
+        witness_dir = tmp_path / str(cpus)
+        args = ["weyuker", "--seed", "1", "--trials", trials, "--metrics", "escim,loc,mccm,cpcm",
+                "--format", fmt, "--witness-dir", str(witness_dir)]
+        code, out, err = run_cli(args, capsys)
+        runs.append((code, out, err, {p.name: p.read_text() for p in witness_dir.iterdir()}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert runs[0][3]
+
+
+@pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["text", "csv"])
+def test_corpus_output_is_the_same_on_one_or_two_processes(csv, tmp_path, monkeypatch, capsys):
+    for index in range(34):
+        (tmp_path / f"p{index:02d}.ml1").write_text(generate(GeneratorConfig(seed=index)))
+    # sorted first and last, so each shard has a failure
+    (tmp_path / "a_lex_error.ml1").write_text("void main() { int a = 1 @ 2; }")
+    (tmp_path / "z_undecodable.ml1").write_bytes(b"void main() {}\xff\n")
+    runs = []
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        assert len(shards.plan(36, shards.MAX_JOBS)) == cpus
+        runs.append(run_cli(["corpus", str(tmp_path), *csv], capsys))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 1
+    assert err.splitlines() == [
+        f"{tmp_path / 'a_lex_error.ml1'}:1:25: unrecognizable character '@'",
+        f"{tmp_path / 'z_undecodable.ml1'}: cannot decode",
+    ]
+    assert out.count("p33.ml1") == (1 if csv else 2)
 
 
 # ---------- byte stability ----------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from cogscope.analysis import METRIC_IDS, analyze_source, metric_value
@@ -237,3 +239,20 @@ def test_swapping_assignments_in_one_run_keeps_whole_body_si():
     assert analyze_source(_canon(original)).program.escim == analyze_source(
         _canon(swapped)
     ).program.escim
+
+
+# ---------- long operator chains ----------
+
+
+def test_transforms_of_a_2000_term_sum_do_not_recurse_per_operator():
+    terms = 2000
+    assert terms > sys.getrecursionlimit()
+    source = "void main() { int a = " + " + ".join(["1"] * terms) + "; }"
+    unit = parse_source(source)
+    # left-deep: each operator but the outermost in its own parentheses
+    expr = "(" * (terms - 2) + "1" + " + 1)" * (terms - 2) + " + 1"
+    assert render(unit) == f"void main() {{\n    int a = {expr};\n}}\n"
+    assert rename(unit, {"a": "b"}) == f"void main() {{\n    int b = {expr};\n}}\n"
+    assert concat(unit, unit) == f"void main() {{\n    int a = {expr};\n    a = {expr};\n}}\n"
+    assert same_structure(unit, parse_source(source))
+    assert not same_structure(unit, parse_source(source.replace("1 + 1;", "1 - 1;")))

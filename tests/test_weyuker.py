@@ -166,6 +166,14 @@ def test_harness_rejects_fewer_than_one_trial(trials):
         WeyukerHarness(seed=1, trials=trials)
 
 
+def test_trial_rows_do_not_depend_on_the_split():
+    harness = WeyukerHarness(seed=1, trials=21)
+    whole = harness._trial_rows(0, 21)
+    assert len(whole) == 21
+    assert harness._trial_rows(0, 10) + harness._trial_rows(10, 21) == whole
+    assert [row for i in range(21) for row in harness._trial_rows(i, i + 1)] == whole
+
+
 def test_check_property_convenience_wrapper():
     result = check_property("4", "loc", trials=10, seed=2)
     assert result.status == "satisfied"
