@@ -2,7 +2,9 @@
 
 Program-level totals sum over functions; LOC and efficiency use the whole
 file.  Everything here is a pure function of the source text, so analyses
-of distinct inputs can run concurrently.
+of distinct inputs can run concurrently.  Text that render() wrote is
+scored from the tokens and tree it laid out (analyze_rendered), without
+being lexed and parsed again.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .info import InfoAnnotations, annotate, info_content, scope_information
 from .lexer import Token, classify_lines, tokenize
 from .metrics import GranuleRow, cfs, cpcm, efficiency, escim, granule_report, mccm, scim_icn, wics_cicm
 from .parser import parse
+from .render import Rendered
 from .resolve import IoSummary, ResolvedUnit, classify_io, resolve
 from .syntax import SourceUnit
 
@@ -78,7 +81,18 @@ class Analysis:
 def analyze_source(source: str, path: str = "<memory>") -> Analysis:
     """Lex, parse, resolve, granulate, annotate and score one program."""
     tokens = tokenize(source)
-    unit = parse(tokens, len(source))
+    return _analyze(source, path, tokens, parse(tokens, len(source)))
+
+
+def analyze_rendered(rendered: Rendered, path: str = "<memory>") -> Analysis:
+    """Resolve, granulate, annotate and score the tokens and tree of a
+    rendered program: the same Analysis, or the same error, as
+    ``analyze_source(str(rendered))``."""
+    return _analyze(rendered, path, rendered.tokens, rendered.unit)
+
+
+def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> Analysis:
+    """Everything after parsing: `unit` is the tree of `tokens`, the tokens of `source`."""
     resolved = resolve(unit)
     ann = annotate(resolved)
     io = classify_io(resolved, tokens)

@@ -13,7 +13,8 @@ Grammar highlights (full grammar in docs/grammar.md):
 Bodies of if/while/for may be a single statement; the parser normalizes
 them to one-statement blocks, so every Block introduces exactly one scope.
 Duplicate declarations in one scope, string literals outside print
-arguments, and a missing main are rejected at parse time.
+arguments, and a missing main are rejected at parse time; the checks on
+names, scopes, nesting and main are `Checks`, which the renderer makes too.
 """
 
 from __future__ import annotations
@@ -82,79 +83,100 @@ _COMPOUND_ASSIGN = ("+=", "-=", "*=", "/=", "%=")
 # default recursion limit; a deeper one is a located ParseError.
 MAX_NESTING = 100
 
+# The kind of the token that stands for the end of the input.
+END = "end of input"
 
-class _Parser:
-    # The most frequent nodes are built with positional arguments, in field
-    # order: cheaper than keywords on this hot path.
 
-    def __init__(self, tokens: list[Token], source_len: int):
-        self.tokens = tokens
-        # Lookahead is read as self._lookahead[self.pos + k], k <= 2, and reads
-        # None past the end.
-        self._lookahead = [*tokens, None, None, None]
-        self.pos = 0
-        self.source_len = source_len
-        # Stack of per-scope declared-name sets for duplicate detection.
-        self.scopes: list[set[str]] = []
-        self.depth = 0  # open nesting levels, at most MAX_NESTING
+class Checks:
+    """The checks a program passes beyond the grammar: no reserved or
+    duplicate names, nesting at most MAX_NESTING levels deep, one main.
 
-    # ---------- token plumbing ----------
+    The parser makes them as it reads a program.  The renderer makes them as
+    it writes a tree out (render.py), so a tree whose text the parser would
+    reject is known without that text being parsed.
+    """
 
-    def at(self, text: str) -> bool:
-        tok = self._lookahead[self.pos]
-        return tok is not None and tok.text == text
+    def __init__(self):
+        self.scopes: list[set[str]] = []  # the names declared per open scope, innermost last
+        self.functions: set[str] = set()  # the functions defined so far
+        self.depth = 0  # open nesting levels; whoever opens one closes it with `self.depth -= 1`
 
-    def at_kind(self, kind: str) -> bool:
-        tok = self._lookahead[self.pos]
-        return tok is not None and tok.kind == kind
-
-    def advance(self) -> Token:
-        tok = self._lookahead[self.pos]
-        if tok is None:
-            raise ParseError(
-                "unexpected end of input",
-                Span(self.source_len, self.source_len, self._last_line(), 1),
-            )
-        self.pos += 1
-        return tok
-
-    def _last_line(self) -> int:
-        return self.tokens[-1].line if self.tokens else 1
-
-    def expect(self, text: str) -> Token:
-        tok = self._lookahead[self.pos]
-        if tok is None or tok.text != text:
-            found = tok.text if tok else "end of input"
-            span = tok.span if tok else Span(self.source_len, self.source_len, self._last_line(), 1)
-            raise ParseError(f"expected {text!r}, found {found!r}", span)
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        tok = self._lookahead[self.pos]
-        if tok is None or tok.kind != "identifier":
-            found = tok.text if tok else "end of input"
-            span = tok.span if tok else Span(self.source_len, self.source_len, self._last_line(), 1)
-            raise ParseError(f"expected identifier, found {found!r}", span)
-        return self.advance()
-
-    def nest(self, tok: Token) -> None:
-        """Open one nesting level at `tok`; the caller closes it with `self.depth -= 1`."""
+    def nest(self, span: Span) -> None:
+        """Open one nesting level at `span`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
-
-    def span_from(self, start: Span) -> Span:
-        end = self.tokens[self.pos - 1].span.end if self.pos else start.end
-        return Span(start.start, end, start.line, start.col)
-
-    # ---------- scope bookkeeping ----------
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", span)
 
     def declare(self, name: str, span: Span) -> None:
+        """Declare `name` in the innermost scope."""
         if name in BUILTINS:
             raise ParseError(f"cannot declare reserved builtin name {name!r}", span)
         if name in self.scopes[-1]:
             raise ParseError(f"duplicate declaration of {name!r} in the same scope", span)
         self.scopes[-1].add(name)
+
+    def define(self, name: str, span: Span) -> None:
+        """Define a function named `name`."""
+        if name in BUILTINS:
+            raise ParseError(f"cannot define reserved builtin {name!r}", span)
+        if name in self.functions:
+            raise ParseError(f"duplicate function {name!r}", span)
+        self.functions.add(name)
+
+    def one_main(self, functions: list[FunctionDef]) -> None:
+        """The program's functions, once all are defined, include one main."""
+        if sum(f.name == "main" for f in functions) != 1:
+            where = functions[0].span if functions else Span(0, 0, 1, 1)
+            raise ParseError("program must define exactly one function named 'main'", where)
+
+
+class _Parser(Checks):
+    # The most frequent nodes are built with positional arguments, in field
+    # order: cheaper than keywords on this hot path.
+
+    def __init__(self, tokens: list[Token], source_len: int):
+        super().__init__()
+        self.tokens = tokens
+        # Lookahead is read as self._lookahead[self.pos + k], k <= 2.  Past
+        # the last token every read finds the one END token, whose text
+        # names it in messages and whose span is the end of the input.
+        last_line = tokens[-1].line if tokens else 1
+        self.end = Token(END, "end of input", Span(source_len, source_len, last_line, 1))
+        self._lookahead = [*tokens, self.end, self.end, self.end]
+        self.pos = 0
+
+    # ---------- token plumbing ----------
+
+    def at(self, text: str) -> bool:
+        return self._lookahead[self.pos].text == text
+
+    def at_kind(self, kind: str) -> bool:
+        return self._lookahead[self.pos].kind == kind
+
+    def advance(self) -> Token:
+        tok = self._lookahead[self.pos]
+        if tok is self.end:
+            raise ParseError("unexpected end of input", tok.span)
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> Token:
+        tok = self._lookahead[self.pos]
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.span)
+        self.pos += 1
+        return tok
+
+    def expect_ident(self) -> Token:
+        tok = self._lookahead[self.pos]
+        if tok.kind != "identifier":
+            raise ParseError(f"expected identifier, found {tok.text!r}", tok.span)
+        self.pos += 1
+        return tok
+
+    def span_from(self, start: Span) -> Span:
+        end = self.tokens[self.pos - 1].span.end if self.pos else start.end
+        return Span(start.start, end, start.line, start.col)
 
     # ---------- top level ----------
 
@@ -162,12 +184,10 @@ class _Parser:
         functions: list[FunctionDef] = []
         globals_: list[Decl] = []
         self.scopes.append(set())  # global scope
-        seen_functions: set[str] = set()
-        while self._lookahead[self.pos] is not None:
+        while self._lookahead[self.pos] is not self.end:
             tok = self._lookahead[self.pos]
             if tok.text in ("void", "int") and self._is_function_header():
-                fn = self.parse_function(seen_functions)
-                functions.append(fn)
+                functions.append(self.parse_function())
             elif tok.text == "int":
                 globals_.append(self.parse_decl())
             else:
@@ -175,31 +195,20 @@ class _Parser:
                     f"expected declaration or function, found {tok.text!r}", tok.span
                 )
         self.scopes.pop()
-        mains = [f for f in functions if f.name == "main"]
-        if len(mains) != 1:
-            where = functions[0].span if functions else Span(0, 0, 1, 1)
-            raise ParseError("program must define exactly one function named 'main'", where)
+        self.one_main(functions)
         return SourceUnit(functions=functions, globals=globals_)
 
     def _is_function_header(self) -> bool:
-        one = self._lookahead[self.pos + 1]
-        two = self._lookahead[self.pos + 2]
         return (
-            one is not None
-            and one.kind == "identifier"
-            and two is not None
-            and two.text == "("
+            self._lookahead[self.pos + 1].kind == "identifier"
+            and self._lookahead[self.pos + 2].text == "("
         )
 
-    def parse_function(self, seen: set[str]) -> FunctionDef:
+    def parse_function(self) -> FunctionDef:
         start = self.advance().span  # void | int
         ret_type = self.tokens[self.pos - 1].text
         name_tok = self.expect_ident()
-        if name_tok.text in BUILTINS:
-            raise ParseError(f"cannot define reserved builtin {name_tok.text!r}", name_tok.span)
-        if name_tok.text in seen:
-            raise ParseError(f"duplicate function {name_tok.text!r}", name_tok.span)
-        seen.add(name_tok.text)
+        self.define(name_tok.text, name_tok.span)
         self.expect("(")
         params: list[Param] = []
         self.scopes.append(set())  # function scope (params + top-level block)
@@ -230,7 +239,7 @@ class _Parser:
 
     def parse_block(self, new_scope: bool = True) -> Block:
         open_brace = self.expect("{")
-        self.nest(open_brace)
+        self.nest(open_brace.span)
         if new_scope:
             self.scopes.append(set())
         stmts: list[Stmt] = []
@@ -246,7 +255,7 @@ class _Parser:
         """A control-structure body: a block, or one statement wrapped in a block."""
         if self.at("{"):
             return self.parse_block()
-        self.nest(self.tokens[self.pos - 1])  # the ')' or 'else' before the body
+        self.nest(self.tokens[self.pos - 1].span)  # the ')' or 'else' before the body
         self.scopes.append(set())
         stmt = self.parse_stmt()
         self.scopes.pop()
@@ -255,11 +264,8 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         tok = self._lookahead[self.pos]
-        if tok is None:
-            raise ParseError(
-                "unexpected end of input",
-                Span(self.source_len, self.source_len, self._last_line(), 1),
-            )
+        if tok is self.end:
+            raise ParseError("unexpected end of input", tok.span)
         text = tok.text
         if text == "int":
             return self.parse_decl()
@@ -345,7 +351,7 @@ class _Parser:
             return CallStmt(span=name.span, callee=name.text, args=args)
         target = self.parse_lvalue()
         nxt = self._lookahead[self.pos]
-        if nxt is None:
+        if nxt is self.end:
             raise ParseError("unexpected end of statement", target.span)
         if nxt.text in ("++", "--"):
             self.advance()
@@ -357,11 +363,10 @@ class _Parser:
         raise ParseError(f"expected assignment or call, found {nxt.text!r}", nxt.span)
 
     def _peek_is_plain_call(self) -> bool:
-        one = self._lookahead[self.pos + 1]
-        return one is not None and one.text == "("
+        return self._lookahead[self.pos + 1].text == "("
 
     def parse_call_args(self, allow_strings: bool) -> list[Expr]:
-        self.nest(self.expect("("))
+        self.nest(self.expect("(").span)
         args: list[Expr] = []
         while not self.at(")"):
             if args:
@@ -382,11 +387,8 @@ class _Parser:
     def parse_lvalue(self) -> Expr:
         global_qualified = False
         start = self._lookahead[self.pos]
-        if start is None:
-            raise ParseError(
-                "unexpected end of input",
-                Span(self.source_len, self.source_len, self._last_line(), 1),
-            )
+        if start is self.end:
+            raise ParseError("unexpected end of input", start.span)
         if self.at("::"):
             self.advance()
             global_qualified = True
@@ -394,7 +396,7 @@ class _Parser:
         span = Span(start.span.start, name_tok.span.end, start.span.line, start.span.col)
         node: Expr = Ident(span, name_tok.text, global_qualified)
         if self.at("["):
-            self.nest(self.advance())
+            self.nest(self.advance().span)
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
@@ -415,7 +417,7 @@ class _Parser:
         if self.at("else"):
             self.advance()
             if self.at("if"):
-                self.nest(self._lookahead[self.pos])
+                self.nest(self._lookahead[self.pos].span)
                 nested = self.parse_if()
                 self.depth -= 1
                 else_block = Block(span=nested.span, stmts=[nested])
@@ -436,15 +438,12 @@ class _Parser:
                 self.advance()
                 lit_tok = self._lookahead[self.pos]
                 negative = False
-                if lit_tok is not None and lit_tok.text == "-":
+                if lit_tok.text == "-":
                     self.advance()
                     negative = True
                     lit_tok = self._lookahead[self.pos]
-                if lit_tok is None or lit_tok.kind != "integer-literal":
-                    raise ParseError(
-                        "case label must be an integer literal",
-                        lit_tok.span if lit_tok else start,
-                    )
+                if lit_tok.kind != "integer-literal":
+                    raise ParseError("case label must be an integer literal", lit_tok.span)
                 self.advance()
                 value = -int(lit_tok.text) if negative else int(lit_tok.text)
                 literal = IntLit(span=lit_tok.span, value=value)
@@ -532,7 +531,7 @@ class _Parser:
         node = self.parse_unary()
         while True:
             tok = self._lookahead[self.pos]
-            prec = None if tok is None else _BIN_PREC.get(tok.text)
+            prec = _BIN_PREC.get(tok.text)
             while pending and (prec is None or pending[-1][0] >= prec):
                 _, op, lhs = pending.pop()
                 node = Binary(Span(lhs.span.start, node.span.end, lhs.span.line, lhs.span.col), op, lhs, node)
@@ -544,9 +543,9 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         tok = self._lookahead[self.pos]
-        if tok is not None and tok.text in ("-", "!"):
+        if tok.text in ("-", "!"):
             self.advance()
-            self.nest(tok)
+            self.nest(tok.span)
             operand = self.parse_unary()
             self.depth -= 1
             return Unary(Span(tok.span.start, operand.span.end, tok.span.line, tok.span.col), tok.text, operand)
@@ -556,7 +555,7 @@ class _Parser:
         node = self.parse_primary()
         while True:
             if self.at("["):
-                self.nest(self.advance())
+                self.nest(self.advance().span)
                 index = self.parse_expr()
                 close = self.expect("]")
                 self.depth -= 1
@@ -570,13 +569,10 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         tok = self._lookahead[self.pos]
-        if tok is None:
-            raise ParseError(
-                "unexpected end of expression",
-                Span(self.source_len, self.source_len, self._last_line(), 1),
-            )
+        if tok is self.end:
+            raise ParseError("unexpected end of expression", tok.span)
         if tok.text == "(":
-            self.nest(self.advance())
+            self.nest(self.advance().span)
             node = self.parse_expr()
             self.expect(")")
             self.depth -= 1

@@ -1,8 +1,10 @@
 """Program composition operators: concatenation, renaming, permutation.
 
 Each operand is program text or an already parsed SourceUnit; operands are
-never modified.  Every operator returns canonical program text, which
-callers re-analyze.  Concatenation merges the two mains into one:
+never modified.  Every operator returns its result as render() writes it: a
+`Rendered`, canonical program text that also carries its tokens and tree,
+so a caller scores it with analysis.analyze_rendered instead of lexing and
+parsing it again.  Concatenation merges the two mains into one:
 
   * q's top-level re-declaration of a name from p's top level is dropped;
     its initializer (if any) survives as a plain assignment, array
@@ -23,7 +25,7 @@ import random
 from .errors import DUMMY_SPAN
 from .lexer import BUILTINS, KEYWORDS
 from .parser import parse_source
-from .render import render
+from .render import Rendered, render
 from .resolve import resolve
 from .syntax import (
     NODE_CLASSES,
@@ -99,7 +101,7 @@ def _collect_names(unit: SourceUnit) -> set[str]:
 _IDENT_OK = __import__("re").compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def rename(program: str | SourceUnit, mapping: dict[str, str]) -> str:
+def rename(program: str | SourceUnit, mapping: dict[str, str]) -> Rendered:
     """Apply a bijective renaming of identifiers; structure stays identical.
 
     Raises ValueError for non-bijective mappings, invalid or reserved target
@@ -123,7 +125,7 @@ def rename(program: str | SourceUnit, mapping: dict[str, str]) -> str:
 # ============================================================
 
 
-def permute(program: str, seed: int) -> str:
+def permute(program: str, seed: int) -> Rendered:
     """Randomly reorder main's top-level statements, keeping the program valid.
 
     Tries seeded shuffles until the reordered program still resolves
@@ -142,7 +144,7 @@ def permute(program: str, seed: int) -> str:
         main.body.stmts = candidate
         text = render(unit)
         try:
-            resolve(parse_source(text))
+            resolve(text.unit)
         except Exception:
             continue
         return text
@@ -200,7 +202,7 @@ def _merge_decl(decl: Decl, taken: set[str]) -> list[Stmt]:
     return out
 
 
-def concat(p: str | SourceUnit, q: str | SourceUnit) -> str:
+def concat(p: str | SourceUnit, q: str | SourceUnit) -> Rendered:
     """The P;Q composition: q's main body runs after p's inside one main."""
     p_unit = _unit(p)
     q_unit = _unit(q)

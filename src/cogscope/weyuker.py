@@ -10,7 +10,12 @@ text alone.  Property 2's finiteness clause is an argument about bounded
 program spaces, not a machine check, and is reported as such.
 
 All candidate programs are evaluated in canonical rendered form so that
-line-based metrics compare rendered text with rendered text.
+line-based metrics compare rendered text with rendered text.  Whatever does
+not depend on the metric is done once per harness: each candidate's
+canonical text and values, each composition of candidates, and each
+permutation check.  Programs that concat and rename build are scored from
+the renderer's layout (analysis.analyze_rendered), so every program a run
+scores is lexed and parsed at most once.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import shards
-from .analysis import METRIC_IDS, Analysis, analyze_source, metric_value
+from .analysis import METRIC_IDS, Analysis, analyze_rendered, analyze_source, metric_value
 from .generator import GeneratorConfig, generate
 from .parser import parse_source
-from .render import render
+from .render import Rendered, render
 from .syntax import SourceUnit, structure_key
-from .transforms import _collect_names, concat, rename
+from .transforms import _collect_names, _unit, concat, rename
 
 PROPERTY_IDS = ("1", "2", "3", "4", "5", "6a", "6b", "7", "8", "9")
 
@@ -202,7 +207,7 @@ EXPECTED_ROWS: dict[str, dict[str, str]] = {
 }
 
 
-def _canon(text: str) -> str:
+def _canon(text: str) -> Rendered:
     return render(parse_source(text))
 
 
@@ -210,8 +215,8 @@ def _metric_values(analysis: Analysis) -> dict[str, float | int]:
     return {m: metric_value(analysis, m) for m in METRIC_IDS}
 
 
-def _values(text: str) -> dict[str, float | int]:
-    return _metric_values(analyze_source(text))
+def _scored(program: Rendered) -> tuple[Rendered, dict[str, float | int]]:
+    return program, _metric_values(analyze_rendered(program))
 
 
 def _rename_mapping(rng: random.Random, unit: SourceUnit) -> dict[str, str]:
@@ -252,7 +257,7 @@ class WeyukerHarness:
         self._pool_values: list[dict[str, float | int]] | None = None
         self._concat_values: list[dict[str, float | int]] | None = None
         self._rename_values: list[dict[str, float | int]] | None = None
-        self._candidate_cache: dict[str, dict[str, float | int]] = {}
+        self._candidate_work: dict = {}  # see _once
 
     # ---------- pools ----------
 
@@ -318,18 +323,41 @@ class WeyukerHarness:
             rng = random.Random(f"rename:{self.seed}:{i}")
             rows.append((
                 _metric_values(p),
-                _values(concat(p.unit, q.unit)),
-                _values(rename(p.unit, _rename_mapping(rng, p.unit))),
+                _metric_values(analyze_rendered(concat(p.unit, q.unit))),
+                _metric_values(analyze_rendered(rename(p.unit, _rename_mapping(rng, p.unit)))),
             ))
             p = q
         return rows
 
-    def _value_of(self, text: str) -> dict[str, float | int]:
-        cached = self._candidate_cache.get(text)
-        if cached is None:
-            cached = _values(_canon(text))
-            self._candidate_cache[text] = cached
-        return cached
+    # ---------- audited candidates ----------
+
+    def _once(self, key, work):
+        """work(), done the first time this harness asks for `key`.
+
+        The candidate work does not depend on the metric, so every metric's
+        checks share it; it lives as long as the harness, so every run of
+        the command line does it once.
+        """
+        try:
+            return self._candidate_work[key]
+        except KeyError:
+            result = self._candidate_work[key] = work()
+            return result
+
+    def _candidate(self, text: str) -> tuple[Rendered, dict[str, float | int]]:
+        """An audited candidate's canonical text and values."""
+        return self._once(text, lambda: _scored(_canon(text)))
+
+    def _composition(self, p: str, q: str) -> tuple[Rendered, dict[str, float | int]]:
+        """P;Q of two candidates and its values."""
+        return self._once((p, q), lambda: _scored(concat(p, q)))
+
+    def _permutation(self, before: str, after: str) -> bool:
+        """Whether two candidates are a permutation pair."""
+        return self._once(
+            ("7", before, after),
+            lambda: _is_permutation_pair(self._candidate(before)[0].unit, self._candidate(after)[0].unit),
+        )
 
     # ---------- property checks ----------
 
@@ -344,14 +372,9 @@ class WeyukerHarness:
     # -- P1: some two programs differ --
 
     def _check_p1(self, metric: str) -> PropertyResult:
-        va, vb = self._value_of(_SMALL), self._value_of(_LARGE)
+        (p, va), (q, vb) = self._candidate(_SMALL), self._candidate(_LARGE)
         if _ne(va[metric], vb[metric]):
-            witness = {
-                "P": _canon(_SMALL),
-                "Q": _canon(_LARGE),
-                "value_P": va[metric],
-                "value_Q": vb[metric],
-            }
+            witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
             return PropertyResult("1", metric, "satisfied", 1, witness)
         return PropertyResult("1", metric, "violated", 1, note="candidate programs scored equal")
 
@@ -368,24 +391,19 @@ class WeyukerHarness:
     # -- P3: distinct programs with equal value --
 
     def _check_p3(self, metric: str) -> PropertyResult:
-        va, vb = self._value_of(_PLUS), self._value_of(_MINUS)
+        (p, va), (q, vb) = self._candidate(_PLUS), self._candidate(_MINUS)
         if not _ne(va[metric], vb[metric]):
-            witness = {"P": _canon(_PLUS), "Q": _canon(_MINUS), "value": va[metric]}
+            witness = {"P": p, "Q": q, "value": va[metric]}
             return PropertyResult("3", metric, "satisfied", 1, witness)
         return PropertyResult("3", metric, "violated", 1, note="candidate programs scored differently")
 
     # -- P4: equivalent implementations with different value --
 
     def _check_p4(self, metric: str) -> PropertyResult:
-        va, vb = self._value_of(_SUM_LOOP), self._value_of(_SUM_FORMULA)
+        (p, va), (q, vb) = self._candidate(_SUM_LOOP), self._candidate(_SUM_FORMULA)
         note = "pair computes 1+2+...+n by loop and by closed form; equivalence documented"
         if _ne(va[metric], vb[metric]):
-            witness = {
-                "P": _canon(_SUM_LOOP),
-                "Q": _canon(_SUM_FORMULA),
-                "value_P": va[metric],
-                "value_Q": vb[metric],
-            }
+            witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
             return PropertyResult("4", metric, "satisfied", 1, witness, note)
         return PropertyResult("4", metric, "violated", 1, note=note)
 
@@ -416,19 +434,18 @@ class WeyukerHarness:
     def _p6(self, metric: str, prop: str, prepend: bool) -> PropertyResult:
         candidates = ((_P6_P, _P6_Q, _P6_R_SEQ), (_P6_P, _P6_Q, _P6_R_LOOP))
         for p, q, r in candidates:
-            vp, vq = self._value_of(p), self._value_of(q)
+            (canon_p, vp), (canon_q, vq) = self._candidate(p), self._candidate(q)
             if _ne(vp[metric], vq[metric]):
                 continue
-            pr = concat(r, p) if prepend else concat(p, r)
-            qr = concat(r, q) if prepend else concat(q, r)
-            vpr, vqr = self._value_of(pr), self._value_of(qr)
+            pr, vpr = self._composition(r, p) if prepend else self._composition(p, r)
+            qr, vqr = self._composition(r, q) if prepend else self._composition(q, r)
             if _ne(vpr[metric], vqr[metric]):
                 key = "R;P" if prepend else "P;R"
                 key2 = "R;Q" if prepend else "Q;R"
                 witness = {
-                    "P": _canon(p),
-                    "Q": _canon(q),
-                    "R": _canon(r),
+                    "P": canon_p,
+                    "Q": canon_q,
+                    "R": self._candidate(r)[0],
                     key: pr,
                     key2: qr,
                     "value_P": vp[metric],
@@ -451,16 +468,11 @@ class WeyukerHarness:
 
     def _check_p7(self, metric: str) -> PropertyResult:
         for before, after in _P7_PAIRS:
-            if not _is_permutation_pair(before, after):
+            if not self._permutation(before, after):
                 continue
-            va, vb = self._value_of(before), self._value_of(after)
+            (p, va), (q, vb) = self._candidate(before), self._candidate(after)
             if _ne(va[metric], vb[metric]):
-                witness = {
-                    "P": _canon(before),
-                    "Q": _canon(after),
-                    "value_P": va[metric],
-                    "value_Q": vb[metric],
-                }
+                witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
                 return PropertyResult("7", metric, "satisfied", 1, witness)
         return PropertyResult(
             "7", metric, "violated", len(_P7_PAIRS), note="no candidate permutation witnesses"
@@ -485,13 +497,12 @@ class WeyukerHarness:
 
     def _check_p9(self, metric: str) -> PropertyResult:
         for p, q in _P9_PAIRS:
-            vp, vq = self._value_of(p), self._value_of(q)
-            pq = concat(p, q)
-            vpq = self._value_of(pq)
+            (canon_p, vp), (canon_q, vq) = self._candidate(p), self._candidate(q)
+            pq, vpq = self._composition(p, q)
             if vpq[metric] > vp[metric] + vq[metric] + _FLOAT_TOL:
                 witness = {
-                    "P": _canon(p),
-                    "Q": _canon(q),
+                    "P": canon_p,
+                    "Q": canon_q,
                     "PQ": pq,
                     "value_P": vp[metric],
                     "value_Q": vq[metric],
@@ -529,18 +540,9 @@ class WeyukerHarness:
         )
 
 
-def _is_permutation_pair(before: str, after: str) -> bool:
+def _is_permutation_pair(before: str | SourceUnit, after: str | SourceUnit) -> bool:
     """Same multiset of top-level statements, possibly different order."""
-    def stmt_keys(text: str) -> Counter:
-        return Counter(map(structure_key, parse_source(text).function("main").body.stmts))
+    def stmt_keys(program: str | SourceUnit) -> Counter:
+        return Counter(map(structure_key, _unit(program).function("main").body.stmts))
 
     return stmt_keys(before) == stmt_keys(after)
-
-
-def check_property(property_id: str, metric: str, trials: int = 1000, seed: int = 1) -> PropertyResult:
-    """Convenience wrapper: one property, one metric, a fresh harness."""
-    return WeyukerHarness(seed=seed, trials=trials).check_property(property_id, metric)
-
-
-def run_table(metrics: list[str], trials: int = 1000, seed: int = 1) -> ConformanceTable:
-    return WeyukerHarness(seed=seed, trials=trials).run_table(metrics)

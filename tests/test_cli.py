@@ -113,6 +113,22 @@ def test_nesting_limit_is_a_located_parse_error(form, tmp_path, capsys):
     assert re.fullmatch(rf"{re.escape(str(path))}:\d+:\d+: nesting deeper than {MAX_NESTING} levels\n", err)
 
 
+# Cut-off programs whose end the parser once read past, with a traceback.
+TRUNCATED = {
+    "for step": ("void main() { for (i = 0; i < 8;", "1:1: unexpected end of input"),
+    "switch case": ("void main() { switch (a) { case 0: { } ", "1:1: expected 'case' or 'default', found 'end of input'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATED))
+def test_truncated_program_is_a_located_parse_error(case, tmp_path, capsys):
+    source, message = TRUNCATED[case]
+    path = tmp_path / "cut.ml1"
+    path.write_text(source)
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"{path}:{message}\n")
+
+
 def test_analyze_metric_filter(fixtures_dir, capsys):
     code, out, _ = run_cli(
         ["analyze", str(fixtures_dir / "eg1.ml1"), "--format", "json", "--metric", "escim"],

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
+from _replay import oracle_escim, oracle_i, oracle_si, replay
 
-from cogscope.analysis import METRIC_IDS, analyze_source, metric_value
+from cogscope.analysis import METRIC_IDS, analyze_rendered, analyze_source, metric_value
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.parser import parse_source
 from cogscope.render import render
 from cogscope.resolve import resolve
 from cogscope.syntax import same_structure
+from cogscope.info import info_content, scope_information
 from cogscope.transforms import concat, permute, rename
+from cogscope.weyuker import WeyukerHarness, _rename_mapping
 
 
 def _canon(text: str) -> str:
@@ -256,3 +260,34 @@ def test_transforms_of_a_2000_term_sum_do_not_recurse_per_operator():
     assert concat(unit, unit) == f"void main() {{\n    int a = {expr};\n    a = {expr};\n}}\n"
     assert same_structure(unit, parse_source(source))
     assert not same_structure(unit, parse_source(source.replace("1 + 1;", "1 - 1;")))
+
+
+# ---------- the replay oracle on transformed programs ----------
+
+
+def _assert_oracle_agrees(program, label) -> None:
+    """Criterion 6's comparison, for a program scored from its layout: the
+    oracle replays the tree that the parser reads from the text."""
+    analysis = analyze_rendered(program)
+    oracle_unit = parse_source(str(program))
+    records = replay(oracle_unit)
+    engine = [
+        (occ.name, occ.kind, occ.span.start, analysis.annotations.icn[i], analysis.annotations.sicn[i])
+        for i, occ in enumerate(analysis.resolved.occurrences)
+    ]
+    assert engine == [(r.name, r.kind, r.start, r.icn, r.sicn) for r in records], label
+    assert analysis.program.escim == oracle_escim(oracle_unit, records), label
+    for tree in analysis.trees.values():
+        for granule in tree.walk():
+            start, end = granule.region.start, granule.region.end
+            assert scope_information(analysis.annotations, granule.region) == oracle_si(records, start, end), label
+            assert info_content(analysis.annotations, granule.region) == oracle_i(records, start, end), label
+
+
+def test_replay_oracle_agrees_on_concat_and_rename_output():
+    harness = WeyukerHarness(seed=3, trials=300)
+    units = [parse_source(text) for text in harness.pool()]
+    for i, unit in enumerate(units):
+        _assert_oracle_agrees(concat(unit, units[(i + 1) % len(units)]), f"concat of pool {i} and {i + 1}")
+        mapping = _rename_mapping(random.Random(f"rename:3:{i}"), unit)
+        _assert_oracle_agrees(rename(unit, mapping), f"rename of pool {i}")

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from cogscope.analysis import METRIC_IDS, analyze_source, metric_value
-from cogscope.weyuker import (
-    EXPECTED_ROWS,
-    PROPERTY_IDS,
-    WeyukerHarness,
-    check_property,
-    run_table,
-)
+from cogscope.weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +142,8 @@ def test_run_table_matches_expectations(harness):
 
 
 def test_same_seed_reproduces_results():
-    t1 = run_table(["escim"], trials=60, seed=5)
-    t2 = run_table(["escim"], trials=60, seed=5)
+    t1 = WeyukerHarness(seed=5, trials=60).run_table(["escim"])
+    t2 = WeyukerHarness(seed=5, trials=60).run_table(["escim"])
     r1 = {p: (r.status, r.trials) for p, r in t1.results["escim"].items()}
     r2 = {p: (r.status, r.trials) for p, r in t2.results["escim"].items()}
     assert r1 == r2
@@ -174,9 +170,35 @@ def test_trial_rows_do_not_depend_on_the_split():
     assert [row for i in range(21) for row in harness._trial_rows(i, i + 1)] == whole
 
 
-def test_check_property_convenience_wrapper():
-    result = check_property("4", "loc", trials=10, seed=2)
+def test_check_property_on_a_fresh_harness():
+    result = WeyukerHarness(seed=2, trials=10).check_property("4", "loc")
     assert result.status == "satisfied"
+
+
+def test_each_program_is_lexed_at_most_once(monkeypatch):
+    from cogscope.lexer import tokenize
+
+    lexed = []
+
+    def counting(source):
+        lexed.append(source)
+        return tokenize(source)
+
+    for module in ("analysis", "parser", "render"):
+        monkeypatch.setattr(importlib.import_module(f"cogscope.{module}"), "tokenize", counting)
+    counts = []
+    for _ in range(2):  # a second harness does all the work again: no cache outlives one
+        lexed.clear()
+        harness = WeyukerHarness(seed=2, trials=50)
+        harness.pool_values()
+        trials = len(lexed)
+        harness.run_table(["escim", "loc", "mccm", "cpcm"])
+        counts.append((trials, len(lexed) - trials))
+    # one lexing per pool program; concat and rename output is scored from
+    # its layout, and each candidate and composition is made once per harness
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 50
+    assert counts[0][1] <= 60
 
 
 def test_expected_rows_cover_gated_metrics():
