@@ -116,13 +116,16 @@ class GranuleTree:
         values).  Returns the sum over the top granules and each granule's
         value by id.
         """
+        order = list(self.top)
+        for g in order:  # breadth first: each granule after its parent
+            order += g.children
         values: dict[int, int] = {}
-
-        def value(g: Granule) -> int:
-            v = values[g.id] = g.weight * (direct(g) + sum(map(value, g.children)))
-            return v
-
-        return sum(map(value, self.top)), values
+        for g in reversed(order):  # each granule after its children
+            total = direct(g)
+            for child in g.children:
+                total += values[child.id]
+            values[g.id] = g.weight * total
+        return sum(values[g.id] for g in self.top), values
 
 
 # ============================================================

@@ -367,8 +367,7 @@ class _Resolver:
             raise ResolveError("assignment target must be a variable", stmt.span)
         sym = self.lookup(base)
         if stmt.op != "=":  # compound assignment and ++/-- also read the target
-            read_ident = Ident(span=base.span, name=base.name, global_qualified=base.global_qualified)
-            self.emit(read_ident, READ, symbol=sym)
+            self.emit(base, READ, symbol=sym)
         self.emit(base, WRITE, ops_delta=ops, rhs_has_read=has_read, symbol=sym)
 
     # ---------- top level ----------

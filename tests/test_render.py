@@ -71,9 +71,7 @@ def _comparable(analysis) -> dict:
         "unit": analysis.unit,
         "tokens": analysis.tokens,
         "occurrences": occurrences,
-        # the tree's own identifiers; a compound assignment's implied read
-        # binds an Ident that the resolver makes and drops
-        "bindings": sorted((at[k], v) for k, v in resolved.bindings.items() if k in at),
+        "bindings": sorted((at[k], v) for k, v in resolved.bindings.items()),
         "call_graph": resolved.call_graph,
         "stmt_user_callees": sorted((at[k], v) for k, v in resolved.stmt_user_callees.items()),
         "function_names": resolved.function_names,
