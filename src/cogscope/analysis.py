@@ -1,7 +1,10 @@
 """One-shot analysis pipeline: source text in, full metric report out.
 
 Program-level totals sum over functions; LOC and efficiency use the whole
-file.  Everything here is a pure function of the source text, so analyses
+file.  Each function's line counts come from classify_io, over its own
+tokens; the program's LOC is the one classify_lines call over all of them.
+A function and the program are scored into the same Metrics record.
+Everything here is a pure function of the source text, so analyses
 of distinct inputs can run concurrently.  Text that render() wrote is
 scored from the tokens and tree it laid out (analyze_rendered), without
 being lexed and parsed again.
@@ -9,7 +12,7 @@ being lexed and parsed again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Span
 from .granules import GranuleTree, granulate, structural_weight
@@ -18,13 +21,14 @@ from .lexer import Token, classify_lines, tokenize
 from .metrics import GranuleRow, cfs, cpcm, efficiency, escim, granule_report, mccm, scim_icn, wics_cicm
 from .parser import parse
 from .render import Rendered
-from .resolve import IoSummary, ResolvedUnit, classify_io, resolve
+from .resolve import IoClassification, ResolvedUnit, classify_io, resolve
 from .syntax import SourceUnit
 
 
 @dataclass(frozen=True)
-class FunctionMetrics:
-    name: str
+class Metrics:
+    """The scores of one function, or of the whole program."""
+
     loc: int
     wc: int
     cfs: int
@@ -35,24 +39,8 @@ class FunctionMetrics:
     scim_icn: int
     escim: int
     efficiency_e: float
-    info_total: int  # I over the function region
-    si_total: int  # SI over the function region
-
-
-@dataclass(frozen=True)
-class ProgramMetrics:
-    loc: int
-    wc: int
-    cfs: int
-    wics: float
-    cicm: float
-    mccm: int
-    cpcm: int
-    scim_icn: int
-    escim: int
-    efficiency_e: float
-    info_total: int
-    si_total: int
+    info_total: int  # I over the region
+    si_total: int  # SI over the region
 
 
 @dataclass
@@ -63,19 +51,14 @@ class Analysis:
     tokens: list[Token]
     resolved: ResolvedUnit
     annotations: InfoAnnotations
-    io: IoSummary
+    io: dict[str, IoClassification]  # by function name
     trees: dict[str, GranuleTree]
-    functions: dict[str, FunctionMetrics]
-    program: ProgramMetrics
-    _granule_rows: dict[str, list[GranuleRow]] = field(default_factory=dict)
+    functions: dict[str, Metrics]
+    program: Metrics
 
     def granule_rows(self, function: str) -> list[GranuleRow]:
-        """Per-granule diagnostic rows, computed on first use."""
-        rows = self._granule_rows.get(function)
-        if rows is None:
-            rows = granule_report(self.trees[function], self.annotations)
-            self._granule_rows[function] = rows
-        return rows
+        """Per-granule diagnostic rows of one function, computed on each call."""
+        return granule_report(self.trees[function], self.annotations)
 
 
 def analyze_source(source: str, path: str = "<memory>") -> Analysis:
@@ -98,17 +81,15 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
     io = classify_io(resolved, tokens)
 
     trees: dict[str, GranuleTree] = {}
-    functions: dict[str, FunctionMetrics] = {}
+    functions: dict[str, Metrics] = {}
     for fn in unit.functions:
         tree = granulate(resolved, fn.name)
         trees[fn.name] = tree
-        fn_io = io.functions[fn.name]
+        fn_io = io[fn.name]
         wc = structural_weight(tree)
         wics_value, cicm_value = wics_cicm(fn_io.line_counts, wc)
         escim_value = escim(tree, ann)
-        fn_region = fn.span
-        metrics = FunctionMetrics(
-            name=fn.name,
+        functions[fn.name] = Metrics(
             loc=fn_io.loc,
             wc=wc,
             cfs=cfs(fn_io, wc),
@@ -119,10 +100,9 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
             scim_icn=scim_icn(tree, ann),
             escim=escim_value,
             efficiency_e=efficiency(escim_value, fn_io.loc) if fn_io.loc else 0.0,
-            info_total=info_content(ann, fn_region),
-            si_total=scope_information(ann, fn_region),
+            info_total=info_content(ann, fn.span),
+            si_total=scope_information(ann, fn.span),
         )
-        functions[fn.name] = metrics
 
     loc = classify_lines(tokens).loc
     whole = Span(0, len(source) + 1, 1, 1)
@@ -130,7 +110,7 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
         name: sum(getattr(m, name) for m in functions.values())  # in function order
         for name in ("wc", "cfs", "wics", "cicm", "mccm", "cpcm", "scim_icn", "escim")
     }
-    program = ProgramMetrics(
+    program = Metrics(
         loc=loc,
         **totals,
         efficiency_e=efficiency(totals["escim"], loc) if loc else 0.0,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and, for weyuker, conformance as documented);
 1 analysis failures or conformance mismatch; 2 usage errors.
-The environment variable COGSCOPE_SEED supplies the default seed.
+The environment variable COGSCOPE_SEED supplies the default seed; a value
+that is not an integer is a usage error.  So is a ``--metrics`` list that
+names no metric, an unknown one, or one twice.
 
 ``weyuker`` and ``corpus`` share their trials or files among up to
 ``shards.MAX_JOBS`` processes, this one included, and never more than the
@@ -36,13 +38,14 @@ from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
 
 def _env_seed(default: int = 1) -> int:
+    """COGSCOPE_SEED, or the default when it is unset; ValueError when it is not an integer."""
     raw = os.environ.get("COGSCOPE_SEED")
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"COGSCOPE_SEED must be an integer, got {raw!r}") from None
 
 
 def _trial_count(text: str) -> int:
@@ -123,11 +126,21 @@ def _status_mark(status: str) -> str:
 
 
 def cmd_weyuker(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    try:
+        seed = args.seed if args.seed is not None else _env_seed()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        print(f"--metrics names no metric; choose from {', '.join(METRIC_IDS)}", file=sys.stderr)
+        return 2
     for metric in metrics:
         if metric not in METRIC_IDS:
             print(f"unknown metric {metric!r}; choose from {', '.join(METRIC_IDS)}", file=sys.stderr)
+            return 2
+        if metrics.count(metric) > 1:
+            print(f"--metrics names {metric!r} more than once", file=sys.stderr)
             return 2
     harness = WeyukerHarness(seed=seed, trials=args.trials, jobs=shards.MAX_JOBS)
     table = harness.run_table(metrics)
@@ -242,10 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_analyze(args)
     if args.command == "weyuker":
         return cmd_weyuker(args)
-    if args.command == "corpus":
-        return cmd_corpus(args)
-    parser.error("unknown command")
-    return 2
+    return cmd_corpus(args)
 
 
 if __name__ == "__main__":

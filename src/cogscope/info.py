@@ -181,17 +181,10 @@ def name_extrema(ann: InfoAnnotations, region: Span, name: str) -> tuple[int, in
     """(ICN_max, SICN_max, SICN_min) of one variable name within a region.
 
     ICN_max follows the name across scopes; SICN extrema range over all
-    symbols of that name occurring in the region.
+    symbols of that name occurring in the region.  All three are 0 when the
+    name does not occur there.
     """
-    icn_max = 0
-    sicn_max: int | None = None
-    sicn_min: int | None = None
-    occs = ann.resolved.occurrences
-    for i in ann.in_region(region):
-        if occs[i].name != name:
-            continue
-        icn_max = max(icn_max, ann.icn[i])
-        value = ann.sicn[i]
-        sicn_max = value if sicn_max is None else max(sicn_max, value)
-        sicn_min = value if sicn_min is None else min(sicn_min, value)
-    return icn_max, sicn_max or 0, sicn_min or 0
+    rows = [row for row in region_extrema(ann, region) if row.name == name]
+    if not rows:
+        return 0, 0, 0
+    return max(r.icn_max for r in rows), max(r.sicn_max for r in rows), min(r.sicn_min for r in rows)

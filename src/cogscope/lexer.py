@@ -171,8 +171,10 @@ class LineInfo:
 def classify_lines(tokens: list[Token]) -> LineInfo:
     """Count tokens per physical line; blank and comment-only lines drop out.
 
-    This is the one per-line count: program LOC, per-function LOC and the
-    WICS and MCCM counts of resolve.classify_io all read it.
+    This is the one per-line count.  resolve.classify_io runs it once per
+    function, over the function's tokens, for its LOC and its WICS and MCCM
+    counts; analysis runs it once over the whole program for the program's
+    LOC.
     """
     records: list[LineRecord] = []
     lineno = idents = ops = lits = 0

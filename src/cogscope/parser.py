@@ -599,10 +599,8 @@ class _Parser(Checks):
         raise ParseError(f"unexpected token {tok.text!r} in expression", tok.span)
 
 
-def parse(tokens: list[Token], source_len: int | None = None) -> SourceUnit:
-    """Parse a token sequence into a SourceUnit."""
-    if source_len is None:
-        source_len = tokens[-1].span.end if tokens else 0
+def parse(tokens: list[Token], source_len: int) -> SourceUnit:
+    """Parse the tokens of a source text of ``source_len`` characters into a SourceUnit."""
     return _Parser(tokens, source_len).parse_unit()
 
 

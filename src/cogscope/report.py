@@ -20,7 +20,8 @@ from json.encoder import encode_basestring_ascii
 from math import inf
 
 from . import __version__
-from .analysis import Analysis
+from .analysis import Analysis, Metrics
+from .errors import Span
 from .info import region_extrema
 
 CSV_COLUMNS = (
@@ -52,7 +53,7 @@ def _round6(value: float) -> float:
     return round(value + 0.0, 6)
 
 
-def _metric_dict(metrics, metric_filter: str = "all") -> dict:
+def _metric_dict(metrics: Metrics, metric_filter: str = "all") -> dict:
     full = {
         "loc": metrics.loc,
         "wc": metrics.wc,
@@ -75,11 +76,31 @@ def _metric_dict(metrics, metric_filter: str = "all") -> dict:
     return base
 
 
+def _variables(analysis: Analysis, region: Span) -> list[dict]:
+    """One row per symbol occurring in the region, numbered within its name."""
+    ordinals: dict[str, int] = {}
+    variables = []
+    for row in region_extrema(analysis.annotations, region):
+        ordinal = ordinals.get(row.name, 0)
+        ordinals[row.name] = ordinal + 1
+        variables.append(
+            {
+                "name": row.name,
+                "symbol_ordinal": ordinal,
+                "kind": row.symbol.kind,
+                "icn_max": row.icn_max,
+                "sicn_max": row.sicn_max,
+                "sicn_min": row.sicn_min,
+                "occurrences": row.occurrences,
+            }
+        )
+    return variables
+
+
 def report_document(analysis: Analysis, metric_filter: str = "all") -> dict:
     """Build the stable report mapping for one analyzed file."""
     functions = []
     for fn in analysis.unit.functions:
-        fm = analysis.functions[fn.name]
         granule_rows = [
             {
                 "id": row.id,
@@ -100,28 +121,12 @@ def report_document(analysis: Analysis, metric_filter: str = "all") -> dict:
             }
             for row in analysis.granule_rows(fn.name)
         ]
-        ordinals: dict[str, int] = {}
-        variables = []
-        for row in region_extrema(analysis.annotations, fn.span):
-            ordinal = ordinals.get(row.name, 0)
-            ordinals[row.name] = ordinal + 1
-            variables.append(
-                {
-                    "name": row.name,
-                    "symbol_ordinal": ordinal,
-                    "kind": row.symbol.kind,
-                    "icn_max": row.icn_max,
-                    "sicn_max": row.sicn_max,
-                    "sicn_min": row.sicn_min,
-                    "occurrences": row.occurrences,
-                }
-            )
         functions.append(
             {
                 "name": fn.name,
-                "metrics": _metric_dict(fm, metric_filter),
+                "metrics": _metric_dict(analysis.functions[fn.name], metric_filter),
                 "granules": granule_rows,
-                "variables": variables,
+                "variables": _variables(analysis, fn.span),
             }
         )
     return {
@@ -305,28 +310,28 @@ def _fmt(value) -> str:
 
 
 def render_text(analysis: Analysis, metric_filter: str = "all", granules: bool = False) -> str:
-    lines = [f"{analysis.path}"]
-    doc = report_document(analysis, metric_filter)
-    program = doc["program"]["metrics"]
-    lines.append("  program:")
+    """The report as text; granule rows are computed only with ``granules``."""
+    lines = [f"{analysis.path}", "  program:"]
+    program = _metric_dict(analysis.program, metric_filter)
     for key in sorted(program):
         lines.append(f"    {key} = {_fmt(program[key])}")
-    for fn in doc["functions"]:
-        lines.append(f"  function {fn['name']}:")
-        for key in sorted(fn["metrics"]):
-            lines.append(f"    {key} = {_fmt(fn['metrics'][key])}")
+    for fn in analysis.unit.functions:
+        lines.append(f"  function {fn.name}:")
+        metrics = _metric_dict(analysis.functions[fn.name], metric_filter)
+        for key in sorted(metrics):
+            lines.append(f"    {key} = {_fmt(metrics[key])}")
         lines.append("    variables:")
-        for row in fn["variables"]:
+        for row in _variables(analysis, fn.span):
             lines.append(
                 "      {name}#{symbol_ordinal} ({kind}): icn_max={icn_max}"
                 " sicn_max={sicn_max} sicn_min={sicn_min}".format(**row)
             )
         if granules:
             lines.append("    granules:")
-            for row in fn["granules"]:
+            for row in analysis.granule_rows(fn.name):
                 lines.append(
-                    "      [{id}] {kind} w={weight} depth={depth} si={si} i={i}"
-                    " contribution={contribution} children={children}".format(**row)
+                    f"      [{row.id}] {row.kind} w={row.weight} depth={row.depth} si={row.si} i={row.i}"
+                    f" contribution={row.contribution} children={list(row.children)}"
                 )
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,8 @@
-"""Name resolution, occurrence extraction, and I/O classification.
+"""Name resolution, occurrence extraction, and per-function I/O classification.
 
-Binds every identifier to a declaration-site symbol under lexical scoping
-with shadowing.  `::name` reaches the global declaration regardless of
+Resolves every identifier to a declaration-site symbol under lexical
+scoping with shadowing; the symbol is kept only on the identifier's
+occurrence.  `::name` reaches the global declaration regardless of
 shadowing.  All variable occurrences come out in a single flat list in
 evaluation order, which is the order the counting engines replay:
 
@@ -13,12 +14,15 @@ evaluation order, which is the order the counting engines replay:
 Each write-like occurrence carries the operator count of its statement
 (compound assignment and ++/-- count as one operator each; plain '=',
 subscripts, calls and commas count zero), so the counting engines only add.
+
+I/O classification is per function, as the metrics read it: each function's
+inputs, outputs, S_io and per-line counts over the function's own tokens.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Record, ResolveError, Span
 from .lexer import BUILTINS, LineInfo, Token, classify_lines
@@ -73,7 +77,7 @@ DECLARE_INIT = "declare-init"
 
 class Occurrence(Record):
     __slots__ = (
-        "symbol", "name", "kind", "span", "stmt_id", "stmt_span", "function",
+        "symbol", "name", "kind", "span", "stmt_id", "function",
         "ops_delta", "in_print_arg", "in_return", "rhs_has_read",
     )
 
@@ -84,7 +88,6 @@ class Occurrence(Record):
         kind: str,
         span: Span,
         stmt_id: int,
-        stmt_span: Span,
         function: str | None,
         ops_delta: int = 0,
         in_print_arg: bool = False,
@@ -96,7 +99,6 @@ class Occurrence(Record):
         self.kind = kind  # read | write | declare | declare-init
         self.span = span  # the identifier itself
         self.stmt_id = stmt_id  # identity of the statement anchoring this occurrence
-        self.stmt_span = stmt_span
         self.function = function  # None for global-scope occurrences
         self.ops_delta = ops_delta  # operators of the statement, for write / declare-init
         self.in_print_arg = in_print_arg
@@ -108,10 +110,8 @@ class Occurrence(Record):
 class ResolvedUnit:
     unit: SourceUnit
     occurrences: tuple[Occurrence, ...]
-    bindings: dict[int, Symbol]  # id(Ident node) -> Symbol
     call_graph: frozenset[tuple[str, str]]  # (caller, callee) for user callees
     stmt_user_callees: dict[int, tuple[str, ...]]  # stmt id -> user functions called
-    function_names: tuple[str, ...]
 
 
 # ============================================================
@@ -143,7 +143,6 @@ class _Resolver:
     def __init__(self, unit: SourceUnit):
         self.unit = unit
         self.occurrences: list[Occurrence] = []
-        self.bindings: dict[int, Symbol] = {}
         self.call_edges: set[tuple[str, str]] = set()
         self.stmt_user_callees: dict[int, list[str]] = {}
         self.scopes: list[dict[str, Symbol]] = []
@@ -194,8 +193,6 @@ class _Resolver:
         symbol: Symbol | None = None,
     ) -> None:
         sym = symbol if symbol is not None else self.lookup(ident)
-        self.bindings[id(ident)] = sym
-        stmt = self.current_stmt
         # Positional arguments, in field order: the hottest constructor of resolve().
         self.occurrences.append(
             Occurrence(
@@ -203,8 +200,7 @@ class _Resolver:
                 ident.name,
                 kind,
                 ident.span,
-                id(stmt),
-                stmt.span if stmt is not None else ident.span,
+                id(self.current_stmt),
                 self.current_function,
                 ops_delta,
                 in_print_arg,
@@ -215,15 +211,13 @@ class _Resolver:
 
     def emit_declare(self, name: str, span: Span, kind: str, sym_kind: str, ops_delta: int, rhs_has_read: bool) -> Symbol:
         sym = self.declare(name, sym_kind, span)
-        stmt = self.current_stmt
         self.occurrences.append(
             Occurrence(
                 symbol=sym,
                 name=name,
                 kind=kind,
                 span=span,
-                stmt_id=id(stmt),
-                stmt_span=stmt.span if stmt is not None else span,
+                stmt_id=id(self.current_stmt),
                 function=self.current_function,
                 ops_delta=ops_delta,
                 rhs_has_read=rhs_has_read,
@@ -391,7 +385,6 @@ class _Resolver:
                         kind=DECLARE,
                         span=param.span,
                         stmt_id=id(fn),
-                        stmt_span=param.span,
                         function=fn.name,
                     )
                 )
@@ -403,15 +396,13 @@ class _Resolver:
         return ResolvedUnit(
             unit=self.unit,
             occurrences=tuple(self.occurrences),
-            bindings=self.bindings,
             call_graph=frozenset(self.call_edges),
             stmt_user_callees={k: tuple(v) for k, v in self.stmt_user_callees.items()},
-            function_names=tuple(f.name for f in self.unit.functions),
         )
 
 
 def resolve(unit: SourceUnit) -> ResolvedUnit:
-    """Bind every identifier occurrence and list occurrences in evaluation order."""
+    """Resolve every identifier occurrence and list occurrences in evaluation order."""
     return _Resolver(unit).run()
 
 
@@ -431,12 +422,6 @@ class IoClassification:
     n_operands: int  # total identifier + literal occurrences (N_i2)
     line_counts: tuple[int, ...]  # identifiers+operators per token-bearing line
     loc: int
-
-
-@dataclass(frozen=True)
-class IoSummary:
-    program: IoClassification
-    functions: dict[str, IoClassification] = field(hash=False, default_factory=dict)
 
 
 def _io_from(occurrences: list[Occurrence], params: list[Symbol], line_info: LineInfo) -> IoClassification:
@@ -468,13 +453,13 @@ def _io_from(occurrences: list[Occurrence], params: list[Symbol], line_info: Lin
         s_io=s_io,
         n_operators=sum(line.operators for line in lines),
         n_operands=sum(line.identifiers + line.literals for line in lines),
-        line_counts=tuple(line.identifiers + line.operators for line in lines),
+        line_counts=tuple(line.n for line in lines),
         loc=line_info.loc,
     )
 
 
-def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> IoSummary:
-    """Per-function and whole-unit I/O classification.
+def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> dict[str, IoClassification]:
+    """I/O classification of each function, by name, over its own tokens.
 
     inputs  = function parameters plus symbols assigned from read();
     outputs = symbols appearing inside print arguments or return values.
@@ -485,8 +470,8 @@ def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> IoSummary:
     occs_by_function: dict[str | None, list[Occurrence]] = {}
     for occ in resolved.occurrences:
         occs_by_function.setdefault(occ.function, []).append(occ)
-        if occ.symbol.kind == "parameter" and occ.kind == DECLARE and occ.function:
-            param_symbols.setdefault(occ.function, []).append(occ.symbol)
+        if occ.symbol.kind == "parameter" and occ.kind == DECLARE:
+            param_symbols[occ.function].append(occ.symbol)
 
     starts = [t.span.start for t in tokens]
     functions: dict[str, IoClassification] = {}
@@ -494,9 +479,6 @@ def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> IoSummary:
         lo = bisect_left(starts, fn.span.start)
         hi = bisect_right(starts, fn.span.end - 1)
         functions[fn.name] = _io_from(
-            occs_by_function.get(fn.name, []), param_symbols.get(fn.name, []), classify_lines(tokens[lo:hi])
+            occs_by_function.get(fn.name, []), param_symbols[fn.name], classify_lines(tokens[lo:hi])
         )
-
-    all_params = [s for syms in param_symbols.values() for s in syms]
-    program = _io_from(list(resolved.occurrences), all_params, classify_lines(tokens))
-    return IoSummary(program=program, functions=functions)
+    return functions

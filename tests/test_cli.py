@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -65,6 +66,23 @@ def test_analyze_undecodable_file_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"{bad}: cannot decode\n"
+
+
+@pytest.mark.parametrize("fmt, granules, per_function", [("text", False, 0), ("text", True, 1), ("json", False, 1)])
+def test_analyze_builds_granule_rows_only_for_reports_that_show_them(
+    fmt, granules, per_function, tmp_path, monkeypatch, capsys
+):
+    analysis_module = importlib.import_module("cogscope.analysis")
+    original = analysis_module.granule_report
+    calls = []
+    monkeypatch.setattr(
+        analysis_module, "granule_report", lambda tree, ann: calls.append(tree) or original(tree, ann)
+    )
+    path = tmp_path / "three.ml1"
+    path.write_text("int f(int p) {\n  return p;\n}\nint g() {\n  return 2;\n}\nvoid main() {\n  print(f(g()));\n}\n")
+    code, _, _ = run_cli(["analyze", str(path), "--format", fmt] + ["--granules"] * granules, capsys)
+    assert code == 0
+    assert len(calls) == 3 * per_function
 
 
 def test_analyze_parse_error_reports_location(tmp_path, capsys):
@@ -302,6 +320,15 @@ def test_weyuker_unknown_metric_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("metrics", [",", "", " , ", "escim,escim", "loc,escim,loc"])
+def test_weyuker_empty_or_repeated_metrics_exit_two(metrics, fmt, capsys):
+    code, out, err = run_cli(["weyuker", "--trials", "20", "--metrics", metrics, "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--metrics" in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_weyuker_nonpositive_trials_is_a_usage_error(trials, capsys):
     with pytest.raises(SystemExit) as err:
@@ -321,6 +348,18 @@ def test_weyuker_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("COGSCOPE_SEED", "17")
     _, out, _ = run_cli(["weyuker", "--trials", "20", "--metrics", "escim"], capsys)
     assert "seed=17" in out
+
+
+def test_weyuker_env_seed_that_is_not_an_integer_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("COGSCOPE_SEED", "abc")
+    code, out, err = run_cli(["weyuker", "--trials", "20", "--metrics", "escim"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "COGSCOPE_SEED must be an integer, got 'abc'\n"
+    # --seed wins, and the variable is not read
+    code, out, _ = run_cli(["weyuker", "--seed", "3", "--trials", "20", "--metrics", "escim"], capsys)
+    assert code == 0
+    assert "seed=3" in out
 
 
 def test_weyuker_writes_witness_files(tmp_path, capsys):

@@ -71,10 +71,8 @@ def _comparable(analysis) -> dict:
         "unit": analysis.unit,
         "tokens": analysis.tokens,
         "occurrences": occurrences,
-        "bindings": sorted((at[k], v) for k, v in resolved.bindings.items()),
         "call_graph": resolved.call_graph,
         "stmt_user_callees": sorted((at[k], v) for k, v in resolved.stmt_user_callees.items()),
-        "function_names": resolved.function_names,
         "icn": analysis.annotations.icn,
         "sicn": analysis.annotations.sicn,
         "io": analysis.io,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import sys
 
 import pytest
@@ -184,30 +185,47 @@ def _io(source: str):
 
 
 def test_eg1_io_sets(fixture_text):
-    io = _io(fixture_text("eg1.ml1")).functions["main"]
+    io = _io(fixture_text("eg1.ml1"))["main"]
     assert {s.name for s in io.inputs} == {"userInput"}
     assert {s.name for s in io.outputs} == {"square"}
     assert io.s_io == 4
 
 
 def test_program_without_io_has_empty_classification():
-    io = _io("void main(){int a = 1; a = a + 1;}").functions["main"]
+    io = _io("void main(){int a = 1; a = a + 1;}")["main"]
     assert not io.inputs and not io.outputs and io.s_io == 0
 
 
 def test_read_print_pair_counts_two_io_occurrences():
-    io = _io("void main(){int a; a = read(); print(a);}").functions["main"]
+    io = _io("void main(){int a; a = read(); print(a);}")["main"]
     assert io.s_io == 2
 
 
 def test_parameters_are_inputs_returns_are_outputs():
-    io = _io("int f(int p){return p;} void main(){f(1);}").functions["f"]
+    io = _io("int f(int p){return p;} void main(){f(1);}")["f"]
     assert {s.name for s in io.inputs} == {"p"}
     assert {s.name for s in io.outputs} == {"p"}
 
 
 def test_operand_and_operator_totals():
-    io = _io("void main(){int a = 1; int b = 2; a = a + b;}").functions["main"]
+    io = _io("void main(){int a = 1; int b = 2; a = a + b;}")["main"]
     # identifiers: main, a, b, a, a, b (6); literals: 1, 2 (2); operators: +
     assert io.n_operands == 8
     assert io.n_operators == 1
+
+
+def test_one_analysis_classifies_lines_once_per_function_and_once_for_the_program(monkeypatch):
+    calls = []
+    # `cogscope.resolve` as a package attribute is the resolve() function.
+    for name in ("cogscope.analysis", "cogscope.resolve"):
+        module = importlib.import_module(name)
+        original = module.classify_lines
+        monkeypatch.setattr(
+            module, "classify_lines", lambda tokens, original=original: calls.append(len(tokens)) or original(tokens)
+        )
+    source = "int f(int p)\n{\n  return p;\n}\nint g()\n{\n  return 2;\n}\nvoid main()\n{\n  print(f(g()));\n}\n"
+    analysis = analyze_source(source)
+    assert len(analysis.unit.functions) == 3
+    assert len(calls) == 1 + 3
+    assert sorted(calls)[-1] == len(analysis.tokens)  # the program's LOC
+    assert analysis.program.loc == 12
