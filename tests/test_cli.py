@@ -278,6 +278,18 @@ def test_corpus_undecodable_file_exits_one(tmp_path, capsys):
     assert "bad.ml1" not in out
 
 
+def test_corpus_unreadable_file_is_named_and_the_other_rows_stay(tmp_path, capsys):
+    for name in ("a.ml1", "c.ml1"):
+        (tmp_path / name).write_text("void main(){int a; a = 1;}")
+    _, expected, _ = run_cli(["corpus", str(tmp_path), "--csv"], capsys)
+    (tmp_path / "b.ml1").mkdir()  # matches *.ml1 but cannot be read
+    code, out, err = run_cli(["corpus", str(tmp_path), "--csv"], capsys)
+    assert code == 1
+    assert out == expected
+    assert err.startswith(f"{tmp_path / 'b.ml1'}: cannot read: ")
+    assert err.count("\n") == 1
+
+
 def test_corpus_missing_directory_exits_two(capsys):
     code, _, err = run_cli(["corpus", "definitely-not-here"], capsys)
     assert code == 2
