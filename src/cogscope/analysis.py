@@ -3,6 +3,10 @@
 Program-level totals sum over functions; LOC and efficiency use the whole
 file.  Each function's line counts come from classify_io, over its own
 tokens; the program's LOC is the one classify_lines call over all of them.
+Each function is routed once, over its own occurrence run, and ESCIM and
+SCIM-ICN fold that routing; its I and SI are taken over the run, and the
+program's over every occurrence.  The routing is kept, so the per-granule
+rows, which only reports show, are built from it on demand.
 A function and the program are scored into the same Metrics record.
 Everything here is a pure function of the source text, so analyses
 of distinct inputs can run concurrently.  Text that render() wrote is
@@ -14,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Span
 from .granules import GranuleTree, granulate, structural_weight
 from .info import InfoAnnotations, annotate, info_content, scope_information
 from .lexer import Token, classify_lines, tokenize
-from .metrics import GranuleRow, cfs, cpcm, efficiency, escim, granule_report, mccm, scim_icn, wics_cicm
+from .metrics import (
+    GranuleRow, Routing, cfs, cpcm, efficiency, escim, granule_report, mccm, route, scim_icn, wics_cicm,
+)
 from .parser import parse
 from .render import Rendered
 from .resolve import IoClassification, ResolvedUnit, classify_io, resolve
@@ -53,12 +58,13 @@ class Analysis:
     annotations: InfoAnnotations
     io: dict[str, IoClassification]  # by function name
     trees: dict[str, GranuleTree]
+    routings: dict[str, Routing]  # by function name
     functions: dict[str, Metrics]
     program: Metrics
 
     def granule_rows(self, function: str) -> list[GranuleRow]:
         """Per-granule diagnostic rows of one function, computed on each call."""
-        return granule_report(self.trees[function], self.annotations)
+        return granule_report(self.trees[function], self.annotations, self.routings[function])
 
 
 def analyze_source(source: str, path: str = "<memory>") -> Analysis:
@@ -81,14 +87,17 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
     io = classify_io(resolved, tokens)
 
     trees: dict[str, GranuleTree] = {}
+    routings: dict[str, Routing] = {}
     functions: dict[str, Metrics] = {}
     for fn in unit.functions:
         tree = granulate(resolved, fn.name)
         trees[fn.name] = tree
+        routing = routings[fn.name] = route(tree, resolved)
+        run = resolved.runs[fn.name]
         fn_io = io[fn.name]
         wc = structural_weight(tree)
         wics_value, cicm_value = wics_cicm(fn_io.line_counts, wc)
-        escim_value = escim(tree, ann)
+        escim_value = escim(tree, ann, routing)
         functions[fn.name] = Metrics(
             loc=fn_io.loc,
             wc=wc,
@@ -97,15 +106,15 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
             cicm=cicm_value,
             mccm=mccm(fn_io, wc),
             cpcm=cpcm(fn_io, wc),
-            scim_icn=scim_icn(tree, ann),
+            scim_icn=scim_icn(tree, ann, routing),
             escim=escim_value,
             efficiency_e=efficiency(escim_value, fn_io.loc) if fn_io.loc else 0.0,
-            info_total=info_content(ann, fn.span),
-            si_total=scope_information(ann, fn.span),
+            info_total=info_content(ann, run),
+            si_total=scope_information(ann, run),
         )
 
     loc = classify_lines(tokens).loc
-    whole = Span(0, len(source) + 1, 1, 1)
+    everything = range(len(resolved.occurrences))
     totals = {
         name: sum(getattr(m, name) for m in functions.values())  # in function order
         for name in ("wc", "cfs", "wics", "cicm", "mccm", "cpcm", "scim_icn", "escim")
@@ -114,8 +123,8 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
         loc=loc,
         **totals,
         efficiency_e=efficiency(totals["escim"], loc) if loc else 0.0,
-        info_total=info_content(ann, whole),
-        si_total=scope_information(ann, whole),
+        info_total=info_content(ann, everything),
+        si_total=scope_information(ann, everything),
     )
     return Analysis(
         source=source,
@@ -126,6 +135,7 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
         annotations=ann,
         io=io,
         trees=trees,
+        routings=routings,
         functions=functions,
         program=program,
     )

@@ -44,9 +44,6 @@ class Span(Record):
         self.line = line
         self.col = col
 
-    def contains(self, other: Span) -> bool:
-        return self.start <= other.start and other.end <= self.end
-
 
 DUMMY_SPAN = Span(0, 0, 1, 1)
 

@@ -22,22 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import Span
 from .resolve import ResolvedUnit
-from .syntax import (
-    Assign,
-    Block,
-    CallStmt,
-    Decl,
-    DoWhile,
-    For,
-    If,
-    Interrupt,
-    Parallel,
-    Return,
-    Stmt,
-    Switch,
-    While,
-    walk,
-)
+from .syntax import Block, DoWhile, For, If, Interrupt, Parallel, Stmt, Switch, While
 
 SEQ = "SEQ"
 ITE = "ITE"
@@ -196,8 +181,11 @@ class _Builder:
         return self.resolved.stmt_user_callees.get(id(stmt), ())
 
     def call_kind(self, stmt: Stmt) -> str:
+        """RECURSION when a callee reaches the caller: both in one component."""
+        components = self.resolved.components
+        home = components[self.function]
         for callee in self.user_callees(stmt):
-            if _reaches(self.resolved.call_graph, callee, self.function):
+            if components[callee] == home:
                 return RECURSION
         return CALL
 
@@ -289,24 +277,9 @@ class _Builder:
         )
 
 
-def _reaches(edges: frozenset[tuple[str, str]], src: str, dst: str) -> bool:
-    """True when dst is reachable from src over user-call edges."""
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        node = frontier.pop()
-        if node == dst:
-            return True
-        for a, b in edges:
-            if a == node and b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return False
-
-
 def granulate(resolved: ResolvedUnit, function: str) -> GranuleTree:
     """Decompose one function into its granule hierarchy."""
-    fn = resolved.unit.function(function)
+    fn = resolved.functions[function]
     builder = _Builder(resolved, function)
     top = builder.decompose(fn.body.stmts, depth=1)
     return GranuleTree(
@@ -331,28 +304,18 @@ def occurrence_routing(tree: GranuleTree, resolved: ResolvedUnit) -> dict[int, l
     """Map granule id -> indices of occurrences anchored directly to it.
 
     An occurrence is anchored to the granule owning its statement; condition
-    and header occurrences anchor to the control granule itself.
+    and header occurrences anchor to the control granule itself.  Only the
+    function's own occurrence run is scanned; its parameters anchor nowhere.
     """
-    anchor_to_granule: dict[int, int] = {}
+    routing: dict[int, list[int]] = {}
+    anchored: dict[int, list[int]] = {}  # statement id -> its granule's list
     for g in tree.walk():
+        indices = routing[g.id] = []
         for sid in g.anchor_ids:
-            anchor_to_granule[sid] = g.id
-    routing: dict[int, list[int]] = {g.id: [] for g in tree.walk()}
-    for idx, occ in enumerate(resolved.occurrences):
-        if occ.function != tree.function:
-            continue
-        gid = anchor_to_granule.get(occ.stmt_id)
-        if gid is not None:
-            routing[gid].append(idx)
+            anchored[sid] = indices
+    run = resolved.runs[tree.function]
+    for idx, occ in zip(run, resolved.occurrences[run.start : run.stop]):
+        indices = anchored.get(occ.stmt_id)
+        if indices is not None:
+            indices.append(idx)
     return routing
-
-
-def partition_check(tree: GranuleTree, resolved: ResolvedUnit) -> bool:
-    """Every simple statement of the function is owned by exactly one granule."""
-    fn = resolved.unit.function(tree.function)
-    simple_ids = [id(s) for s in walk(fn.body) if isinstance(s, (Decl, Assign, CallStmt, Return))]
-    owned: list[int] = []
-    for g in tree.walk():
-        owned.extend(g.owned_stmts)
-    return sorted(owned) == sorted(simple_ids)
-

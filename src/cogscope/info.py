@@ -15,13 +15,17 @@ Annotation rule: a read carries the counter value before its statement's
 effect; a write or declaration carries the value after.  Both engines apply
 each statement once, in source order; loops are never iterated.
 
-Region queries fold annotations over arbitrary spans:
+Region queries fold annotations over a set of occurrence indices L:
   I(L)  = sum over names of the highest ICN annotation in L,
   SI(L) = sum over symbols of (highest - lowest) SICN annotation in L.
+The analysis passes a function's own occurrence run, a granule's routed
+occurrences, or every occurrence; a source span becomes such a set through
+`InfoAnnotations.in_region`, one scan of the whole program.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import Span
@@ -87,44 +91,35 @@ def annotate(resolved: ResolvedUnit) -> InfoAnnotations:
 # ============================================================
 
 
-def info_content_at(ann: InfoAnnotations, indices: list[int]) -> int:
-    """I over an explicit occurrence set: sum of per-name ICN maxima."""
+def info_content(ann: InfoAnnotations, indices: Iterable[int]) -> int:
+    """I over an occurrence set: sum of per-name ICN maxima."""
     best: dict[str, int] = {}
     occs = ann.resolved.occurrences
+    icn = ann.icn
     for i in indices:
         name = occs[i].name
-        value = ann.icn[i]
+        value = icn[i]
         if value > best.get(name, -1):
             best[name] = value
     return sum(best.values())
 
 
-def scope_information_at(ann: InfoAnnotations, indices: list[int]) -> int:
-    """SI over an explicit occurrence set: sum of per-symbol (max - min)."""
+def scope_information(ann: InfoAnnotations, indices: Iterable[int]) -> int:
+    """SI over an occurrence set: sum of per-symbol (max - min)."""
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
     occs = ann.resolved.occurrences
+    sicn = ann.sicn
     for i in indices:
         uid = occs[i].symbol.uid
-        value = ann.sicn[i]
+        value = sicn[i]
         if uid not in lo:
             lo[uid] = hi[uid] = value
-        else:
-            if value < lo[uid]:
-                lo[uid] = value
-            if value > hi[uid]:
-                hi[uid] = value
-    return sum(hi[u] - lo[u] for u in lo)
-
-
-def info_content(ann: InfoAnnotations, region: Span) -> int:
-    """I(L) for a source region."""
-    return info_content_at(ann, ann.in_region(region))
-
-
-def scope_information(ann: InfoAnnotations, region: Span) -> int:
-    """SI(L) for a source region."""
-    return scope_information_at(ann, ann.in_region(region))
+        elif value < lo[uid]:
+            lo[uid] = value
+        elif value > hi[uid]:
+            hi[uid] = value
+    return sum([hi[u] - lo[u] for u in lo])
 
 
 # ============================================================
@@ -142,36 +137,27 @@ class VariableExtrema:
     occurrences: int
 
 
-def region_extrema(ann: InfoAnnotations, region: Span) -> list[VariableExtrema]:
-    """Per-symbol extrema for every variable occurring in the region."""
-    rows: dict[int, dict] = {}
+def region_extrema(ann: InfoAnnotations, indices: Iterable[int]) -> list[VariableExtrema]:
+    """Per-symbol extrema for every variable occurring in an occurrence set."""
+    rows: dict[int, list] = {}  # uid -> [symbol, ICN max, SICN max, SICN min, occurrences]
     occs = ann.resolved.occurrences
-    for i in ann.in_region(region):
-        occ = occs[i]
-        row = rows.get(occ.symbol.uid)
+    icn, sicn = ann.icn, ann.sicn
+    for i in indices:
+        symbol = occs[i].symbol
+        row = rows.get(symbol.uid)
         if row is None:
-            rows[occ.symbol.uid] = {
-                "symbol": occ.symbol,
-                "icn_max": ann.icn[i],
-                "sicn_max": ann.sicn[i],
-                "sicn_min": ann.sicn[i],
-                "count": 1,
-            }
-        else:
-            row["icn_max"] = max(row["icn_max"], ann.icn[i])
-            row["sicn_max"] = max(row["sicn_max"], ann.sicn[i])
-            row["sicn_min"] = min(row["sicn_min"], ann.sicn[i])
-            row["count"] += 1
+            rows[symbol.uid] = [symbol, icn[i], sicn[i], sicn[i], 1]
+            continue
+        if icn[i] > row[1]:
+            row[1] = icn[i]
+        if sicn[i] > row[2]:
+            row[2] = sicn[i]
+        elif sicn[i] < row[3]:
+            row[3] = sicn[i]
+        row[4] += 1
     out = [
-        VariableExtrema(
-            name=row["symbol"].name,
-            symbol=row["symbol"],
-            icn_max=row["icn_max"],
-            sicn_max=row["sicn_max"],
-            sicn_min=row["sicn_min"],
-            occurrences=row["count"],
-        )
-        for row in rows.values()
+        VariableExtrema(symbol.name, symbol, icn_max, sicn_max, sicn_min, count)
+        for symbol, icn_max, sicn_max, sicn_min, count in rows.values()
     ]
     out.sort(key=lambda r: (r.name, r.symbol.uid))
     return out
@@ -184,7 +170,7 @@ def name_extrema(ann: InfoAnnotations, region: Span, name: str) -> tuple[int, in
     symbols of that name occurring in the region.  All three are 0 when the
     name does not occur there.
     """
-    rows = [row for row in region_extrema(ann, region) if row.name == name]
+    rows = [row for row in region_extrema(ann, ann.in_region(region)) if row.name == name]
     if not rows:
         return 0, 0, 0
     return max(r.icn_max for r in rows), max(r.sicn_max for r in rows), min(r.sicn_min for r in rows)

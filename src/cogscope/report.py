@@ -21,7 +21,6 @@ from math import inf
 
 from . import __version__
 from .analysis import Analysis, Metrics
-from .errors import Span
 from .info import region_extrema
 
 CSV_COLUMNS = (
@@ -76,11 +75,11 @@ def _metric_dict(metrics: Metrics, metric_filter: str = "all") -> dict:
     return base
 
 
-def _variables(analysis: Analysis, region: Span) -> list[dict]:
-    """One row per symbol occurring in the region, numbered within its name."""
+def _variables(analysis: Analysis, function: str) -> list[dict]:
+    """One row per symbol occurring in the function, numbered within its name."""
     ordinals: dict[str, int] = {}
     variables = []
-    for row in region_extrema(analysis.annotations, region):
+    for row in region_extrema(analysis.annotations, analysis.resolved.runs[function]):
         ordinal = ordinals.get(row.name, 0)
         ordinals[row.name] = ordinal + 1
         variables.append(
@@ -126,7 +125,7 @@ def report_document(analysis: Analysis, metric_filter: str = "all") -> dict:
                 "name": fn.name,
                 "metrics": _metric_dict(analysis.functions[fn.name], metric_filter),
                 "granules": granule_rows,
-                "variables": _variables(analysis, fn.span),
+                "variables": _variables(analysis, fn.name),
             }
         )
     return {
@@ -321,7 +320,7 @@ def render_text(analysis: Analysis, metric_filter: str = "all", granules: bool =
         for key in sorted(metrics):
             lines.append(f"    {key} = {_fmt(metrics[key])}")
         lines.append("    variables:")
-        for row in _variables(analysis, fn.span):
+        for row in _variables(analysis, fn.name):
             lines.append(
                 "      {name}#{symbol_ordinal} ({kind}): icn_max={icn_max}"
                 " sicn_max={sicn_max} sicn_min={sicn_min}".format(**row)

@@ -11,6 +11,12 @@ evaluation order, which is the order the counting engines replay:
   * do-while bodies before their condition,
   * declarators left to right, initializers before the name they introduce.
 
+Global declarations come first, then each function's parameters and body,
+so a function's occurrences are one contiguous run of that list
+(`ResolvedUnit.runs`): what routing and region totals scan, never the
+whole program.  The call graph's strongly connected components are found
+once per resolve (`ResolvedUnit.components`).
+
 Each write-like occurrence carries the operator count of its statement
 (compound assignment and ++/-- count as one operator each; plain '=',
 subscripts, calls and commas count zero), so the counting engines only add.
@@ -22,7 +28,8 @@ inputs, outputs, S_io and per-line counts over the function's own tokens.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .errors import Record, ResolveError, Span
 from .lexer import BUILTINS, LineInfo, Token, classify_lines
@@ -36,6 +43,7 @@ from .syntax import (
     DoWhile,
     Expr,
     For,
+    FunctionDef,
     Ident,
     If,
     Interrupt,
@@ -112,6 +120,58 @@ class ResolvedUnit:
     occurrences: tuple[Occurrence, ...]
     call_graph: frozenset[tuple[str, str]]  # (caller, callee) for user callees
     stmt_user_callees: dict[int, tuple[str, ...]]  # stmt id -> user functions called
+    runs: dict[str, range]  # function name -> indices of its occurrences: parameters, then body
+    functions: dict[str, FunctionDef] = field(init=False)  # by name, in source order
+    components: dict[str, str] = field(init=False)  # function name -> its call-graph component
+
+    def __post_init__(self) -> None:
+        self.functions = {fn.name: fn for fn in self.unit.functions}
+        self.components = call_components(self.functions, self.call_graph)
+
+
+def call_components(functions: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Each function's strongly connected component of the call graph, named
+    by one of its members (which one depends on the order of the edges).
+
+    A function calls its callee, so the callee reaches the caller exactly
+    when both lie in one component; a self-call is a component of one.
+    Tarjan's algorithm ("Depth-first search and linear graph algorithms",
+    SIAM J. Comput. 1972) with its own stack: each edge is read once, so the
+    work is O(functions + edges) for a call chain of any length.
+    """
+    callees: dict[str, list[str]] = {name: [] for name in functions}
+    for caller, callee in edges:
+        callees[caller].append(callee)
+    order: dict[str, int] = {}  # discovery index
+    low: dict[str, int] = {}  # lowest discovery index reachable through the component
+    component: dict[str, str] = {}
+    stack: list[str] = []  # discovered, not yet in a component
+    for root in callees:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        path = [(root, iter(callees[root]))]
+        while path:
+            node, rest = path[-1]
+            for callee in rest:
+                if callee not in order:
+                    order[callee] = low[callee] = len(order)
+                    stack.append(callee)
+                    path.append((callee, iter(callees[callee])))
+                    break
+                if callee not in component and order[callee] < low[node]:
+                    low[node] = order[callee]
+            else:
+                path.pop()
+                if path and low[node] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[node]
+                if low[node] == order[node]:
+                    member = None
+                    while member != node:
+                        member = stack.pop()
+                        component[member] = node
+    return component
 
 
 # ============================================================
@@ -372,7 +432,9 @@ class _Resolver:
             self.current_stmt = decl
             self.walk_decl(decl)
             self.current_stmt = None
+        runs: dict[str, range] = {}
         for fn in self.unit.functions:
+            start = len(self.occurrences)
             self.current_function = fn.name
             self.push()  # function scope
             for param in fn.params:
@@ -392,12 +454,14 @@ class _Resolver:
                 self.walk_stmt(stmt)
             self.pop()
             self.current_function = None
+            runs[fn.name] = range(start, len(self.occurrences))
         self.pop()
         return ResolvedUnit(
             unit=self.unit,
             occurrences=tuple(self.occurrences),
             call_graph=frozenset(self.call_edges),
             stmt_user_callees={k: tuple(v) for k, v in self.stmt_user_callees.items()},
+            runs=runs,
         )
 
 

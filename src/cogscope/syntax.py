@@ -277,8 +277,3 @@ def structure_key(node):
             elif name not in _SPAN_FIELDS:
                 key.append(value)
     return tuple(key)
-
-
-def same_structure(a, b) -> bool:
-    """Structural identity of two trees, ignoring source spans."""
-    return structure_key(a) == structure_key(b)

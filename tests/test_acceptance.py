@@ -31,7 +31,7 @@ def test_criterion_1_eg1_golden(fixture_text):
     main_span = analysis.unit.function("main").span
     icn_user_input, _, _ = name_extrema(analysis.annotations, main_span, "userInput")
     icn_square, _, _ = name_extrema(analysis.annotations, main_span, "square")
-    information = info_content(analysis.annotations, main_span)
+    information = info_content(analysis.annotations, analysis.annotations.in_region(main_span))
     elapsed = time.monotonic() - started
     assert icn_user_input == 1
     assert icn_square == 2
@@ -146,10 +146,10 @@ def test_criterion_6_oracle_equivalence():
         for tree in analysis.trees.values():
             for granule in tree.walk():
                 region = granule.region
-                assert scope_information(analysis.annotations, region) == oracle_si(
+                assert scope_information(analysis.annotations, analysis.annotations.in_region(region)) == oracle_si(
                     records, region.start, region.end
                 ), f"SI differs for seed {seed}"
-                assert info_content(analysis.annotations, region) == oracle_i(
+                assert info_content(analysis.annotations, analysis.annotations.in_region(region)) == oracle_i(
                     records, region.start, region.end
                 ), f"I differs for seed {seed}"
         checked += 1
@@ -166,8 +166,8 @@ def test_criterion_7_region_monotonicity():
         ann = analysis.annotations
 
         def check(granule, ancestor_values):
-            si = scope_information(ann, granule.region)
-            info = info_content(ann, granule.region)
+            si = scope_information(ann, ann.in_region(granule.region))
+            info = info_content(ann, ann.in_region(granule.region))
             nonlocal violations
             for ancestor_si, ancestor_i in ancestor_values:
                 if si > ancestor_si or info > ancestor_i:

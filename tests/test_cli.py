@@ -76,7 +76,7 @@ def test_analyze_builds_granule_rows_only_for_reports_that_show_them(
     original = analysis_module.granule_report
     calls = []
     monkeypatch.setattr(
-        analysis_module, "granule_report", lambda tree, ann: calls.append(tree) or original(tree, ann)
+        analysis_module, "granule_report", lambda tree, *rest: calls.append(tree) or original(tree, *rest)
     )
     path = tmp_path / "three.ml1"
     path.write_text("int f(int p) {\n  return p;\n}\nint g() {\n  return 2;\n}\nvoid main() {\n  print(f(g()));\n}\n")

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+from _checks import contains, partition_check
+
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.granules import (
     WEIGHTS,
     granulate,
-    partition_check,
     structural_weight,
     weight_of,
 )
@@ -192,7 +193,7 @@ def test_granule_regions_nest_and_do_not_overlap(fixture_text):
 
     def check(granule):
         for child in granule.children:
-            assert granule.region.contains(child.region)
+            assert contains(granule.region, child.region)
         for left, right in zip(granule.children, granule.children[1:]):
             assert left.region.end <= right.region.start
         for child in granule.children:

@@ -56,7 +56,7 @@ def test_eg1_goldens(fixture_text):
     icn_sq, _, _ = name_extrema(analysis.annotations, main.span, "square")
     assert icn_ui == 1
     assert icn_sq == 2
-    assert info_content(analysis.annotations, main.span) == 3
+    assert info_content(analysis.annotations, analysis.annotations.in_region(main.span)) == 3
 
 
 def test_eg3_per_variable_goldens(fixture_text):
@@ -91,19 +91,19 @@ def test_eg3_first_loop_contribution_of_s(fixture_text):
 def test_si_single_occurrence_contributes_zero():
     resolved, ann = _annotated("void main(){int a; int b = 1; a = b;}")
     stmt = resolved.unit.function("main").body.stmts[2]
-    assert scope_information(ann, stmt.span) == 0
+    assert scope_information(ann, ann.in_region(stmt.span)) == 0
 
 
 def test_si_declare_then_assign_is_one():
     resolved, ann = _annotated("void main(){int a; a = 1;}")
     main = resolved.unit.function("main")
-    assert scope_information(ann, main.span) == 1
+    assert scope_information(ann, ann.in_region(main.span)) == 1
 
 
 def test_info_content_zero_when_nothing_assigned():
     resolved, ann = _annotated("void main(){int a; print(a);}")
     main = resolved.unit.function("main")
-    assert info_content(ann, main.span) == 0
+    assert info_content(ann, ann.in_region(main.span)) == 0
 
 
 def test_shadow_isolation():
@@ -140,11 +140,11 @@ def test_region_monotonicity_over_generated_programs():
         for tree in analysis.trees.values():
 
             def check(granule, ancestors):
-                si = scope_information(ann, granule.region)
-                il = info_content(ann, granule.region)
+                si = scope_information(ann, ann.in_region(granule.region))
+                il = info_content(ann, ann.in_region(granule.region))
                 for upper in ancestors:
-                    assert si <= scope_information(ann, upper.region)
-                    assert il <= info_content(ann, upper.region)
+                    assert si <= scope_information(ann, ann.in_region(upper.region))
+                    assert il <= info_content(ann, ann.in_region(upper.region))
                 for child in granule.children:
                     check(child, ancestors + [granule])
 
@@ -235,10 +235,10 @@ def test_oracle_agreement_spot_checks(fixture_text):
         assert analysis.program.escim == oracle_escim(oracle_unit, records), name
         for tree in analysis.trees.values():
             for g in tree.walk():
-                assert scope_information(ann, g.region) == oracle_si(
+                assert scope_information(ann, ann.in_region(g.region)) == oracle_si(
                     records, g.region.start, g.region.end
                 )
-                assert info_content(ann, g.region) == oracle_i(
+                assert info_content(ann, ann.in_region(g.region)) == oracle_i(
                     records, g.region.start, g.region.end
                 )
         for fn in analysis.trees:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from _checks import contains
 
 from cogscope.errors import ParseError
 from cogscope.parser import parse_source
@@ -141,7 +142,7 @@ def test_syntax_error_reports_span():
 
 
 def _spans_nest(stmt: Stmt, parent):
-    assert parent.contains(stmt.span)
+    assert contains(parent, stmt.span)
     for key, value in vars(stmt).items():
         if key == "span":
             continue

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from _checks import same_structure
 from test_info import FULL_LANGUAGE
 
 from cogscope.analysis import analyze_rendered, analyze_source
@@ -10,7 +11,7 @@ from cogscope.errors import DUMMY_SPAN, MiniLangError
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.parser import MAX_NESTING, parse_source
 from cogscope.render import render
-from cogscope.syntax import Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, same_structure, walk
+from cogscope.syntax import Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, walk
 from cogscope.transforms import _collect_names, concat, rename
 
 

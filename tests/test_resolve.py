@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import importlib
+import random
 import sys
 
 import pytest
 from _replay import oracle_escim, replay
+from test_info import FULL_LANGUAGE
 
 from cogscope.analysis import analyze_source
 from cogscope.cli import main
 from cogscope.errors import ResolveError
+from cogscope.generator import GeneratorConfig, generate
+from cogscope.info import annotate
 from cogscope.lexer import tokenize
 from cogscope.parser import parse_source
-from cogscope.resolve import classify_io, operator_count, resolve
+from cogscope.resolve import call_components, classify_io, operator_count, resolve
 
 
 def _resolved(source: str):
@@ -229,3 +233,44 @@ def test_one_analysis_classifies_lines_once_per_function_and_once_for_the_progra
     assert len(calls) == 1 + 3
     assert sorted(calls)[-1] == len(analysis.tokens)  # the program's LOC
     assert analysis.program.loc == 12
+
+
+def test_call_components_are_mutual_reachability():
+    rng = random.Random(11)
+    for _ in range(300):
+        names = [f"f{k}" for k in range(rng.randrange(1, 9))]
+        edges = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randrange(0, 16))}
+        reach = {a: {a} for a in names}
+        for _ in names:  # transitive closure by repeated relaxation
+            for a, b in edges:
+                reach[a] |= reach[b]
+        components = call_components(names, edges)
+        for a in names:
+            for b in names:
+                assert (components[a] == components[b]) == (b in reach[a] and a in reach[b]), (edges, a, b)
+
+
+def _run_programs(fixtures_dir):
+    """The fixtures, the full language, and 500 generated programs with
+    parameters and globals."""
+    for path in sorted(fixtures_dir.glob("*.ml1")):
+        yield path.name, path.read_text()
+    yield "full language", FULL_LANGUAGE
+    found = 0
+    for seed in range(10_000):
+        source = generate(GeneratorConfig(seed=seed + 91_000, max_statements=8))
+        if "(int p0)" in source and parse_source(source).globals:  # the generator's one parameter
+            found += 1
+            yield f"seed {seed}", source
+            if found == 500:
+                return
+    raise AssertionError(f"only {found} generated programs with parameters and globals")
+
+
+def test_each_function_run_is_the_occurrences_of_its_span(fixtures_dir):
+    for label, source in _run_programs(fixtures_dir):
+        resolved = _resolved(source)
+        ann = annotate(resolved)
+        assert list(resolved.runs) == [fn.name for fn in resolved.unit.functions], label
+        for fn in resolved.unit.functions:
+            assert list(resolved.runs[fn.name]) == ann.in_region(fn.span), (label, fn.name)
