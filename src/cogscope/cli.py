@@ -12,6 +12,9 @@ CPUs this process may use; a run of fewer than 2 * ``shards.MIN_SHARD``
 items stays in this process.  Output, stderr and exit code do not depend on
 the number of processes.
 
+Only ``weyuker`` imports the Weyuker harness, and with it the generator and
+the transforms; ``analyze`` and ``corpus`` never load them.
+
 ``main`` pauses Python's cyclic garbage collector for the whole command and
 turns it back on when the command ends, however it ends, if it was on when
 the command began.  An analysis allocates one object per token, span, tree
@@ -48,7 +51,6 @@ from .report import (
     render_text,
     report_document,
 )
-from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
 
 def _env_seed(default: int = 1) -> int:
@@ -140,6 +142,8 @@ def _status_mark(status: str) -> str:
 
 
 def cmd_weyuker(args) -> int:
+    from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
+
     try:
         seed = args.seed if args.seed is not None else _env_seed()
     except ValueError as exc:

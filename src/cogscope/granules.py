@@ -71,8 +71,7 @@ class Granule:
     weight: int
     region: Span
     depth: int
-    owned_stmts: tuple[int, ...]  # simple-statement identities owned directly
-    anchor_ids: tuple[int, ...]  # owned_stmts plus the control node itself
+    anchor_ids: tuple[int, ...]  # identities of the statements whose occurrences anchor here
     children: list[Granule] = field(default_factory=list)
 
     @property
@@ -201,7 +200,6 @@ class _Builder:
             region = Span(
                 run[0].span.start, run[-1].span.end, run[0].span.line, run[0].span.col
             )
-            ids = tuple(id(s) for s in run)
             granules.append(
                 Granule(
                     id=self.fresh(),
@@ -209,8 +207,7 @@ class _Builder:
                     weight=WEIGHTS[SEQ],
                     region=region,
                     depth=depth,
-                    owned_stmts=ids,
-                    anchor_ids=ids,
+                    anchor_ids=tuple(id(s) for s in run),
                 )
             )
             self.leaf_count += 1
@@ -231,7 +228,6 @@ class _Builder:
                         weight=WEIGHTS[call_kind],
                         region=s.span,
                         depth=depth,
-                        owned_stmts=(id(s),),
                         anchor_ids=(id(s),),
                     )
                 )
@@ -244,35 +240,26 @@ class _Builder:
     def control_granule(self, stmt: Stmt, kind: str, depth: int) -> Granule:
         gid = self.fresh()
         streams = _body_streams(stmt)
-        header_ids = _header_stmt_ids(stmt)
+        anchors = _header_stmt_ids(stmt)
         nested = _has_nested_control(streams) or any(
             self.user_callees(s) for stream in streams for s in _flatten(stream)
         )
-        if not nested:
-            owned = list(header_ids)
-            for stream in streams:
-                owned.extend(id(s) for s in _flatten(stream))
-            self.leaf_count += 1
-            return Granule(
-                id=gid,
-                kind=kind,
-                weight=WEIGHTS[kind],
-                region=stmt.span,
-                depth=depth,
-                owned_stmts=tuple(owned),
-                anchor_ids=tuple(owned) + (id(stmt),),
-            )
         children: list[Granule] = []
-        for stream in streams:
-            children.extend(self.decompose(stream, depth + 1))
+        if nested:
+            for stream in streams:
+                children.extend(self.decompose(stream, depth + 1))
+        else:  # a leaf: its body's statements anchor here too
+            for stream in streams:
+                anchors.extend(id(s) for s in _flatten(stream))
+            self.leaf_count += 1
+        anchors.append(id(stmt))
         return Granule(
             id=gid,
             kind=kind,
             weight=WEIGHTS[kind],
             region=stmt.span,
             depth=depth,
-            owned_stmts=tuple(header_ids),
-            anchor_ids=tuple(header_ids) + (id(stmt),),
+            anchor_ids=tuple(anchors),
             children=children,
         )
 

@@ -146,12 +146,11 @@ def tokenize(source: str) -> list[Token]:
 
 
 class LineRecord(Record):
-    """One token-bearing physical line."""
+    """The counts of one token-bearing physical line, in line order."""
 
-    __slots__ = ("lineno", "identifiers", "operators", "literals")
+    __slots__ = ("identifiers", "operators", "literals")
 
-    def __init__(self, lineno: int, identifiers: int, operators: int, literals: int):
-        self.lineno = lineno
+    def __init__(self, identifiers: int, operators: int, literals: int):
         self.identifiers = identifiers
         self.operators = operators
         self.literals = literals
@@ -177,13 +176,13 @@ def classify_lines(tokens: list[Token]) -> LineInfo:
     LOC.
     """
     records: list[LineRecord] = []
-    lineno = idents = ops = lits = 0
+    current = idents = ops = lits = 0  # current: the line being counted, 0 before the first
     for tok in tokens:  # in source order, so each line's tokens are adjacent
         line = tok.span.line
-        if line != lineno:
-            if lineno:
-                records.append(LineRecord(lineno, idents, ops, lits))
-            lineno = line
+        if line != current:
+            if current:
+                records.append(LineRecord(idents, ops, lits))
+            current = line
             idents = ops = lits = 0
         kind = tok.kind
         if kind == "identifier":
@@ -193,8 +192,8 @@ def classify_lines(tokens: list[Token]) -> LineInfo:
                 ops += 1
         elif kind == "integer-literal" or kind == "string-literal":
             lits += 1
-    if lineno:
-        records.append(LineRecord(lineno, idents, ops, lits))
+    if current:
+        records.append(LineRecord(idents, ops, lits))
     return LineInfo(loc=len(records), lines=tuple(records))
 
 

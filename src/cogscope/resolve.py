@@ -13,16 +13,19 @@ evaluation order, which is the order the counting engines replay:
 
 Global declarations come first, then each function's parameters and body,
 so a function's occurrences are one contiguous run of that list
-(`ResolvedUnit.runs`): what routing and region totals scan, never the
-whole program.  The call graph's strongly connected components are found
-once per resolve (`ResolvedUnit.components`).
+(`ResolvedUnit.runs`), its parameters first: what routing, region totals
+and I/O classification scan, never the whole program.  The call graph's
+strongly connected components are found once per resolve
+(`ResolvedUnit.components`).
 
 Each write-like occurrence carries the operator count of its statement
 (compound assignment and ++/-- count as one operator each; plain '=',
 subscripts, calls and commas count zero), so the counting engines only add.
 
-I/O classification is per function, as the metrics read it: each function's
-inputs, outputs, S_io and per-line counts over the function's own tokens.
+I/O classification is per function, as the metrics read it.  Classification
+reads each function's run: its parameters are the run's first occurrences,
+and its inputs, outputs and S_io come from the rest.  Lines are counted over
+the function's own tokens.
 """
 
 from __future__ import annotations
@@ -64,17 +67,17 @@ from .syntax import (
 
 
 class Symbol(Record):
-    __slots__ = ("uid", "name", "kind", "decl_span", "scope_depth")
+    """One declaration site; its declaring occurrence carries the span."""
 
-    def __init__(self, uid: int, name: str, kind: str, decl_span: Span, scope_depth: int):
-        self.uid = uid
+    __slots__ = ("uid", "name", "kind")
+
+    def __init__(self, uid: int, name: str, kind: str):
+        self.uid = uid  # unique within one resolve()
         self.name = name
         self.kind = kind  # global | parameter | local
-        self.decl_span = decl_span
-        self.scope_depth = scope_depth
 
     def __repr__(self) -> str:  # compact in test diffs
-        return f"Symbol({self.name}#{self.uid}:{self.kind}@{self.scope_depth})"
+        return f"Symbol({self.name}#{self.uid}:{self.kind})"
 
 
 READ = "read"
@@ -84,8 +87,10 @@ DECLARE_INIT = "declare-init"
 
 
 class Occurrence(Record):
+    """One identifier occurrence; its function is the run that holds it."""
+
     __slots__ = (
-        "symbol", "name", "kind", "span", "stmt_id", "function",
+        "symbol", "name", "kind", "span", "stmt_id",
         "ops_delta", "in_print_arg", "in_return", "rhs_has_read",
     )
 
@@ -96,18 +101,16 @@ class Occurrence(Record):
         kind: str,
         span: Span,
         stmt_id: int,
-        function: str | None,
-        ops_delta: int = 0,
-        in_print_arg: bool = False,
-        in_return: bool = False,
-        rhs_has_read: bool = False,
+        ops_delta: int,
+        in_print_arg: bool,
+        in_return: bool,
+        rhs_has_read: bool,
     ):
         self.symbol = symbol
-        self.name = name
+        self.name = name  # the symbol's name, read without the extra hop
         self.kind = kind  # read | write | declare | declare-init
         self.span = span  # the identifier itself
-        self.stmt_id = stmt_id  # identity of the statement anchoring this occurrence
-        self.function = function  # None for global-scope occurrences
+        self.stmt_id = stmt_id  # identity of the anchoring statement; the function's, for a parameter
         self.ops_delta = ops_delta  # operators of the statement, for write / declare-init
         self.in_print_arg = in_print_arg
         self.in_return = in_return
@@ -219,8 +222,8 @@ class _Resolver:
     def pop(self) -> None:
         self.scopes.pop()
 
-    def declare(self, name: str, kind: str, span: Span) -> Symbol:
-        sym = Symbol(self.uid, name, kind, span, len(self.scopes) - 1)
+    def declare(self, name: str, kind: str) -> Symbol:
+        sym = Symbol(self.uid, name, kind)
         self.uid += 1
         self.scopes[-1][name] = sym
         return sym
@@ -243,47 +246,29 @@ class _Resolver:
 
     def emit(
         self,
-        ident: Ident,
+        symbol: Symbol,
+        span: Span,
         kind: str,
-        *,
         ops_delta: int = 0,
         in_print_arg: bool = False,
         in_return: bool = False,
         rhs_has_read: bool = False,
-        symbol: Symbol | None = None,
     ) -> None:
-        sym = symbol if symbol is not None else self.lookup(ident)
+        """Append one occurrence, anchored to the current statement."""
         # Positional arguments, in field order: the hottest constructor of resolve().
         self.occurrences.append(
             Occurrence(
-                sym,
-                ident.name,
+                symbol,
+                symbol.name,
                 kind,
-                ident.span,
+                span,
                 id(self.current_stmt),
-                self.current_function,
                 ops_delta,
                 in_print_arg,
                 in_return,
                 rhs_has_read,
             )
         )
-
-    def emit_declare(self, name: str, span: Span, kind: str, sym_kind: str, ops_delta: int, rhs_has_read: bool) -> Symbol:
-        sym = self.declare(name, sym_kind, span)
-        self.occurrences.append(
-            Occurrence(
-                symbol=sym,
-                name=name,
-                kind=kind,
-                span=span,
-                stmt_id=id(self.current_stmt),
-                function=self.current_function,
-                ops_delta=ops_delta,
-                rhs_has_read=rhs_has_read,
-            )
-        )
-        return sym
 
     # ---------- expressions (reads) ----------
 
@@ -301,7 +286,7 @@ class _Resolver:
         for node in walk(expr):
             cls = node.__class__
             if cls is Ident:
-                self.emit(node, READ, in_print_arg=in_print_arg, in_return=in_return)
+                self.emit(self.lookup(node), node.span, READ, 0, in_print_arg, in_return)
             elif cls is Binary or cls is Unary:
                 ops += 1
             elif cls is CallExpr:
@@ -394,16 +379,11 @@ class _Resolver:
         self.pop()
 
     def walk_decl(self, stmt: Decl) -> None:
+        sym_kind = "global" if self.current_function is None else "local"
         for d in stmt.declarators:
             ops, has_read = self.walk_reads(d.init)
-            self.emit_declare(
-                d.name,
-                d.name_span,
-                DECLARE if d.init is None else DECLARE_INIT,
-                "global" if self.current_function is None else "local",
-                ops_delta=ops,
-                rhs_has_read=has_read,
-            )
+            kind = DECLARE if d.init is None else DECLARE_INIT
+            self.emit(self.declare(d.name, sym_kind), d.name_span, kind, ops, rhs_has_read=has_read)
 
     def walk_assign(self, stmt: Assign) -> None:
         ops, has_read = self.walk_reads(stmt.value)
@@ -421,8 +401,8 @@ class _Resolver:
             raise ResolveError("assignment target must be a variable", stmt.span)
         sym = self.lookup(base)
         if stmt.op != "=":  # compound assignment and ++/-- also read the target
-            self.emit(base, READ, symbol=sym)
-        self.emit(base, WRITE, ops_delta=ops, rhs_has_read=has_read, symbol=sym)
+            self.emit(sym, base.span, READ)
+        self.emit(sym, base.span, WRITE, ops, rhs_has_read=has_read)
 
     # ---------- top level ----------
 
@@ -437,19 +417,10 @@ class _Resolver:
             start = len(self.occurrences)
             self.current_function = fn.name
             self.push()  # function scope
+            self.current_stmt = fn
             for param in fn.params:
-                self.current_stmt = None
-                sym = self.declare(param.name, "parameter", param.span)
-                self.occurrences.append(
-                    Occurrence(
-                        symbol=sym,
-                        name=param.name,
-                        kind=DECLARE,
-                        span=param.span,
-                        stmt_id=id(fn),
-                        function=fn.name,
-                    )
-                )
+                self.emit(self.declare(param.name, "parameter"), param.span, DECLARE)
+            self.current_stmt = None
             for stmt in fn.body.stmts:
                 self.walk_stmt(stmt)
             self.pop()
@@ -488,9 +459,11 @@ class IoClassification:
     loc: int
 
 
-def _io_from(occurrences: list[Occurrence], params: list[Symbol], line_info: LineInfo) -> IoClassification:
+def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, line_info: LineInfo) -> IoClassification:
+    """One function's classification from its run, whose first n_params
+    occurrences declare its parameters."""
     # Keyed by uid, which is unique within one resolve(): cheaper to hash than a Symbol.
-    inputs = {sym.uid: sym for sym in params}
+    inputs = {occ.symbol.uid: occ.symbol for occ in occurrences[:n_params]}
     outputs: dict[int, Symbol] = {}
     for occ in occurrences:
         if occ.rhs_has_read and occ.kind in (WRITE, DECLARE_INIT):
@@ -530,19 +503,14 @@ def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> dict[str, IoClas
     S_io counts write occurrences of I/O symbols individually and read
     occurrences once per (statement, symbol).
     """
-    param_symbols: dict[str, list[Symbol]] = {f.name: [] for f in resolved.unit.functions}
-    occs_by_function: dict[str | None, list[Occurrence]] = {}
-    for occ in resolved.occurrences:
-        occs_by_function.setdefault(occ.function, []).append(occ)
-        if occ.symbol.kind == "parameter" and occ.kind == DECLARE:
-            param_symbols[occ.function].append(occ.symbol)
-
+    occurrences = resolved.occurrences
     starts = [t.span.start for t in tokens]
     functions: dict[str, IoClassification] = {}
     for fn in resolved.unit.functions:
+        run = resolved.runs[fn.name]
         lo = bisect_left(starts, fn.span.start)
         hi = bisect_right(starts, fn.span.end - 1)
         functions[fn.name] = _io_from(
-            occs_by_function.get(fn.name, []), param_symbols[fn.name], classify_lines(tokens[lo:hi])
+            occurrences[run.start : run.stop], len(fn.params), classify_lines(tokens[lo:hi])
         )
     return functions

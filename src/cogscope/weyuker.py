@@ -242,14 +242,12 @@ class WeyukerHarness:
         self,
         seed: int = 1,
         trials: int = 1000,
-        config: GeneratorConfig | None = None,
         jobs: int = 1,
     ):
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         self.seed = seed
         self.trials = trials
-        self.base_config = config
         self.jobs = jobs
         rng = random.Random(seed)
         self._seeds = [rng.randrange(2**62) for _ in range(trials)]
@@ -262,10 +260,6 @@ class WeyukerHarness:
     # ---------- pools ----------
 
     def _config_for(self, seed: int) -> GeneratorConfig:
-        if self.base_config is not None:
-            cfg = GeneratorConfig(**vars(self.base_config))
-            cfg.seed = seed
-            return cfg
         return GeneratorConfig(seed=seed, max_statements=8, max_nesting_depth=2, variable_pool_size=5)
 
     def _pool_text(self, i: int) -> str:

@@ -19,10 +19,12 @@ def same_structure(a, b) -> bool:
 
 
 def partition_check(tree: GranuleTree, resolved: ResolvedUnit) -> bool:
-    """Every simple statement of the function is owned by exactly one granule."""
+    """Every anchor is a statement of the function, and every simple statement
+    of the function anchors to exactly one granule."""
     fn = resolved.unit.function(tree.function)
-    simple_ids = [id(s) for s in walk(fn.body) if isinstance(s, (Decl, Assign, CallStmt, Return))]
-    owned: list[int] = []
-    for g in tree.walk():
-        owned.extend(g.owned_stmts)
-    return sorted(owned) == sorted(simple_ids)
+    nodes = {id(node): node for node in walk(fn.body)}
+    simple = (Decl, Assign, CallStmt, Return)
+    simple_ids = [key for key, node in nodes.items() if isinstance(node, simple)]
+    anchors = [sid for g in tree.walk() for sid in g.anchor_ids]
+    owned = [sid for sid in anchors if isinstance(nodes.get(sid), simple)]
+    return all(sid in nodes for sid in anchors) and sorted(owned) == sorted(simple_ids)

@@ -6,6 +6,7 @@ lines; the whole module is also part of the default pytest run.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -86,6 +87,9 @@ def test_criterion_4_weights_and_structural_weight():
     _report(4, "all ten weights match; WHILE over ITE scores 6; sibling leaf loops score 6")
 
 
+WEYUKER_10000_SHA256 = "aed34d324a58d79397cbdd97b6fdb68f9097c0ba37c1935a908e530de41be3d3"
+
+
 def test_criterion_5_weyuker_conformance(capsys):
     started = time.monotonic()
     code = main(
@@ -123,6 +127,8 @@ def test_criterion_5_weyuker_conformance(capsys):
         assert {p for p, r in row.items() if r["status"] == "violated"} == {"6a", "6b", "7"}
     for metric in ("escim", "loc", "mccm", "cpcm"):
         assert payload["matches_expected"][metric] is True
+    # the whole report, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == WEYUKER_10000_SHA256
     with capsys.disabled():
         _report(5, f"10000-trial conformance run matches all expected rows in {elapsed:.1f}s")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -472,6 +473,12 @@ ANALYZE_JSON_SHA256 = {
     "p4_loop.ml1": "05ed0e51e722d58e712fdf563f6f9789de08aa446969843be17a348eb55241da",
 }
 WEYUKER_200_SHA256 = "aa8cbb01102b4f7a8b7ae1a948de0409a97ba56389687d842ec658889cfcf3b9"
+# The text and corpus reports, run from the repository root.
+REPORT_SHA256 = {
+    "analyze tests/fixtures/eg3.ml1 --granules": "6bcb81de22abaa1422c9fc8a683227fba0189ef2eb113ed5744643bc73a9eacf",
+    "corpus tests/fixtures": "c17f73aa790295a0455a9425f4dbb6653a662d5e349cce876eefdfbea6679fef",
+    "corpus tests/fixtures --csv": "160fccfa29b0d73e15e30e332eed3a17bf7a7996a36e5f585cb2e59f4273f69c",
+}
 
 
 def _stdout_sha256(args: list[str], capsys) -> str:
@@ -485,6 +492,12 @@ def test_analyze_json_bytes_are_pinned(name, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     args = ["analyze", f"tests/fixtures/{name}", "--format", "json"]
     assert _stdout_sha256(args, capsys) == ANALYZE_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_text_and_corpus_bytes_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert _stdout_sha256(command.split(), capsys) == REPORT_SHA256[command]
 
 
 def test_weyuker_json_bytes_are_pinned(capsys):
@@ -504,3 +517,17 @@ def test_module_invocation_works(fixtures_dir):
     )
     assert proc.returncode == 0
     assert "escim = 1" in proc.stdout
+
+
+def test_analyze_does_not_import_the_weyuker_stack(fixtures_dir):
+    script = (
+        "import sys\n"
+        "from cogscope.cli import main\n"
+        f"assert main(['analyze', {str(fixtures_dir / 'eg1.ml1')!r}, '--format', 'json']) == 0\n"
+        "stack = ('cogscope.weyuker', 'cogscope.generator', 'cogscope.transforms')\n"
+        "sys.stderr.write(repr([name for name in stack if name in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]"

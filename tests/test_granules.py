@@ -126,10 +126,14 @@ def test_switch_cases_decompose():
 
 
 def test_loop_headers_belong_to_loop_region(fixture_text):
-    tree = _tree(fixture_text("eg3.ml1"))
-    summation = tree.top[1]
+    resolved = resolve(parse_source(fixture_text("eg3.ml1")))
+    loop = resolved.unit.function("main").body.stmts[3]
+    summation = granulate(resolved, "main").top[1]
+    assert summation.kind == "FOR"
     # the header declaration and step must anchor inside the loop granule
-    assert len(summation.owned_stmts) >= 3  # init, step, body statement
+    assert id(loop.init) in summation.anchor_ids
+    assert id(loop.step) in summation.anchor_ids
+    assert id(loop.body.stmts[0]) in summation.anchor_ids
 
 
 def test_partition_and_leaf_linearity_over_generated_programs():

@@ -21,12 +21,7 @@ from cogscope.resolve import Symbol, IoClassification, resolve
 
 def _io(inputs=0, outputs=0, s_io=0, n_ops=0, n_operands=0):
     def syms(n, offset):
-        from cogscope.errors import DUMMY_SPAN
-
-        return frozenset(
-            Symbol(uid=offset + i, name=f"x{offset + i}", kind="local", decl_span=DUMMY_SPAN, scope_depth=1)
-            for i in range(n)
-        )
+        return frozenset(Symbol(offset + i, f"x{offset + i}", "local") for i in range(n))
 
     return IoClassification(
         inputs=syms(inputs, 0),

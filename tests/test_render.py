@@ -57,8 +57,8 @@ def _comparable(analysis) -> dict:
     trees = {
         name: (
             [
-                (g.id, g.kind, g.weight, g.region, g.depth, [at[i] for i in g.owned_stmts],
-                 [at[i] for i in g.anchor_ids], [c.id for c in g.children])
+                (g.id, g.kind, g.weight, g.region, g.depth, [at[i] for i in g.anchor_ids],
+                 [c.id for c in g.children])
                 for g in tree.walk()
             ],
             tree.leaf_count,

@@ -274,3 +274,39 @@ def test_each_function_run_is_the_occurrences_of_its_span(fixtures_dir):
         assert list(resolved.runs) == [fn.name for fn in resolved.unit.functions], label
         for fn in resolved.unit.functions:
             assert list(resolved.runs[fn.name]) == ann.in_region(fn.span), (label, fn.name)
+
+
+# Globals before, between and after the functions; `peek` and `show` share
+# line 4; `scale` has an unused scalar parameter and an array one.
+_IO_PROGRAM = """\
+int base = 2;
+int scale(int x, int unused, int arr[]) { int y = x * base; return y + arr[0]; }
+int limit = 9;
+int peek(int arr[]) { print(arr[1]); return limit; } void show(int n) { print(n); }
+void main() {
+    int v;
+    v = read();
+    int data[] = {4, 5};
+    print(scale(v, 1, data) + peek(data));
+    show(v);
+}
+int tail = 0;
+"""
+
+
+def test_per_function_io_of_a_hand_checked_program():
+    io = analyze_source(_IO_PROGRAM).io
+    summary = {
+        name: (sorted(s.name for s in c.inputs), sorted(s.name for s in c.outputs), c.s_io, c.loc)
+        for name, c in io.items()
+    }
+    assert summary == {
+        # s_io: declare-init y; x read in y's statement; y and arr read in the return
+        "scale": (["arr", "unused", "x"], ["arr", "y"], 4, 1),
+        # arr read in the print, the global limit in the return
+        "peek": (["arr"], ["arr", "limit"], 2, 1),
+        "show": (["n"], ["n"], 1, 1),
+        # v written from read(); data declared with an initializer; v and data
+        # read in the print (data twice, counted once); v read in show(v)
+        "main": (["v"], ["data", "v"], 5, 7),
+    }
