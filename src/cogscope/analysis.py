@@ -16,8 +16,7 @@ being lexed and parsed again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .granules import GranuleTree, granulate, structural_weight
 from .info import InfoAnnotations, annotate, info_content, scope_information
 from .lexer import Token, classify_lines, tokenize
@@ -25,42 +24,75 @@ from .metrics import (
     GranuleRow, Routing, cfs, cpcm, efficiency, escim, granule_report, mccm, route, scim_icn, wics_cicm,
 )
 from .parser import parse
-from .render import Rendered
 from .resolve import IoClassification, ResolvedUnit, classify_io, resolve
 from .syntax import SourceUnit
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Record):
     """The scores of one function, or of the whole program."""
 
-    loc: int
-    wc: int
-    cfs: int
-    wics: float
-    cicm: float
-    mccm: int
-    cpcm: int
-    scim_icn: int
-    escim: int
-    efficiency_e: float
-    info_total: int  # I over the region
-    si_total: int  # SI over the region
+    __slots__ = (
+        "loc", "wc", "cfs", "wics", "cicm", "mccm", "cpcm", "scim_icn", "escim",
+        "efficiency_e", "info_total", "si_total",
+    )
+
+    def __init__(
+        self,
+        loc: int,
+        wc: int,
+        cfs: int,
+        wics: float,
+        cicm: float,
+        mccm: int,
+        cpcm: int,
+        scim_icn: int,
+        escim: int,
+        efficiency_e: float,
+        info_total: int,
+        si_total: int,
+    ):
+        self.loc = loc
+        self.wc = wc
+        self.cfs = cfs
+        self.wics = wics
+        self.cicm = cicm
+        self.mccm = mccm
+        self.cpcm = cpcm
+        self.scim_icn = scim_icn
+        self.escim = escim
+        self.efficiency_e = efficiency_e
+        self.info_total = info_total  # I over the region
+        self.si_total = si_total  # SI over the region
 
 
-@dataclass
 class Analysis:
-    source: str
-    path: str
-    unit: SourceUnit
-    tokens: list[Token]
-    resolved: ResolvedUnit
-    annotations: InfoAnnotations
-    io: dict[str, IoClassification]  # by function name
-    trees: dict[str, GranuleTree]
-    routings: dict[str, Routing]  # by function name
-    functions: dict[str, Metrics]
-    program: Metrics
+    """Everything one analysis computed, from the source text to the scores."""
+
+    def __init__(
+        self,
+        source: str,
+        path: str,
+        unit: SourceUnit,
+        tokens: list[Token],
+        resolved: ResolvedUnit,
+        annotations: InfoAnnotations,
+        io: dict[str, IoClassification],
+        trees: dict[str, GranuleTree],
+        routings: dict[str, Routing],
+        functions: dict[str, Metrics],
+        program: Metrics,
+    ):
+        self.source = source
+        self.path = path
+        self.unit = unit
+        self.tokens = tokens
+        self.resolved = resolved
+        self.annotations = annotations
+        self.io = io  # by function name
+        self.trees = trees
+        self.routings = routings  # by function name
+        self.functions = functions
+        self.program = program
 
     def granule_rows(self, function: str) -> list[GranuleRow]:
         """Per-granule diagnostic rows of one function, computed on each call."""
@@ -73,10 +105,10 @@ def analyze_source(source: str, path: str = "<memory>") -> Analysis:
     return _analyze(source, path, tokens, parse(tokens, len(source)))
 
 
-def analyze_rendered(rendered: Rendered, path: str = "<memory>") -> Analysis:
+def analyze_rendered(rendered: str, path: str = "<memory>") -> Analysis:
     """Resolve, granulate, annotate and score the tokens and tree of a
-    rendered program: the same Analysis, or the same error, as
-    ``analyze_source(str(rendered))``."""
+    program that render() returned, a render.Rendered: the same Analysis, or
+    the same error, as ``analyze_source(str(rendered))``."""
     return _analyze(rendered, path, rendered.tokens, rendered.unit)
 
 

@@ -13,7 +13,6 @@ that rewrite, which the monotonicity properties rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 DEFAULT_WEIGHTS: dict[str, float] = {
     "decl": 3.0,
@@ -41,15 +40,24 @@ _BINOPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||"
 _COMPOUND = ("+=", "-=", "*=", "/=", "%=")
 
 
-@dataclass
 class GeneratorConfig:
-    seed: int = 0
-    max_statements: int = 10
-    max_nesting_depth: int = 2
-    variable_pool_size: int = 6
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    allow_globals: bool = True
-    allow_functions: bool = True
+    def __init__(
+        self,
+        seed: int = 0,
+        max_statements: int = 10,
+        max_nesting_depth: int = 2,
+        variable_pool_size: int = 6,
+        weights: dict[str, float] | None = None,
+        allow_globals: bool = True,
+        allow_functions: bool = True,
+    ):
+        self.seed = seed
+        self.max_statements = max_statements
+        self.max_nesting_depth = max_nesting_depth
+        self.variable_pool_size = variable_pool_size
+        self.weights = dict(DEFAULT_WEIGHTS) if weights is None else weights
+        self.allow_globals = allow_globals
+        self.allow_functions = allow_functions
 
 
 class _Gen:

@@ -18,7 +18,6 @@ Cognitive weights:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import Span
 from .resolve import ResolvedUnit
@@ -64,27 +63,36 @@ def weight_of(kind: str) -> int:
     return WEIGHTS[kind]
 
 
-@dataclass
 class Granule:
-    id: int
-    kind: str
-    weight: int
-    region: Span
-    depth: int
-    anchor_ids: tuple[int, ...]  # identities of the statements whose occurrences anchor here
-    children: list[Granule] = field(default_factory=list)
+    def __init__(
+        self,
+        id: int,
+        kind: str,
+        weight: int,
+        region: Span,
+        depth: int,
+        anchor_ids: tuple[int, ...],
+        children: list[Granule] | None = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.weight = weight
+        self.region = region
+        self.depth = depth
+        self.anchor_ids = anchor_ids  # identities of the statements whose occurrences anchor here
+        self.children = [] if children is None else children
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass
 class GranuleTree:
-    function: str
-    top: list[Granule]
-    leaf_count: int
-    max_depth: int
+    def __init__(self, function: str, top: list[Granule], leaf_count: int, max_depth: int):
+        self.function = function
+        self.top = top
+        self.leaf_count = leaf_count
+        self.max_depth = max_depth
 
     def walk(self):
         stack = list(reversed(self.top))

@@ -26,9 +26,8 @@ occurrences, or every occurrence; a source span becomes such a set through
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .errors import Span
+from .errors import Record, Span
 from .resolve import DECLARE, DECLARE_INIT, READ, WRITE, ResolvedUnit, Symbol
 
 
@@ -67,11 +66,15 @@ def compute_sicn(resolved: ResolvedUnit) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class InfoAnnotations:
-    resolved: ResolvedUnit
-    icn: tuple[int, ...]
-    sicn: tuple[int, ...]
+class InfoAnnotations(Record):
+    """The ICN and SICN of every occurrence of a resolved program, in occurrence order."""
+
+    __slots__ = ("resolved", "icn", "sicn")
+
+    def __init__(self, resolved: ResolvedUnit, icn: tuple[int, ...], sicn: tuple[int, ...]):
+        self.resolved = resolved
+        self.icn = icn
+        self.sicn = sicn
 
     def in_region(self, region: Span) -> list[int]:
         """Indices of occurrences lying inside the region span."""
@@ -127,14 +130,18 @@ def scope_information(ann: InfoAnnotations, indices: Iterable[int]) -> int:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class VariableExtrema:
-    name: str
-    symbol: Symbol
-    icn_max: int
-    sicn_max: int
-    sicn_min: int
-    occurrences: int
+class VariableExtrema(Record):
+    """One symbol's ICN and SICN extrema and occurrence count over a region."""
+
+    __slots__ = ("name", "symbol", "icn_max", "sicn_max", "sicn_min", "occurrences")
+
+    def __init__(self, name: str, symbol: Symbol, icn_max: int, sicn_max: int, sicn_min: int, occurrences: int):
+        self.name = name
+        self.symbol = symbol
+        self.icn_max = icn_max
+        self.sicn_max = sicn_max
+        self.sicn_min = sicn_min
+        self.occurrences = occurrences
 
 
 def region_extrema(ann: InfoAnnotations, indices: Iterable[int]) -> list[VariableExtrema]:

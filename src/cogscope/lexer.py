@@ -9,7 +9,6 @@ LOC only when it bears at least one token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import LexError, Record, Span
 
@@ -161,10 +160,14 @@ class LineRecord(Record):
         return self.identifiers + self.operators
 
 
-@dataclass(frozen=True)
-class LineInfo:
-    loc: int
-    lines: tuple[LineRecord, ...]
+class LineInfo(Record):
+    """LOC and the records of the token-bearing lines it counts."""
+
+    __slots__ = ("loc", "lines")
+
+    def __init__(self, loc: int, lines: tuple[LineRecord, ...]):
+        self.loc = loc
+        self.lines = lines
 
 
 def classify_lines(tokens: list[Token]) -> LineInfo:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import Record, ResolveError, Span
 from .lexer import BUILTINS, LineInfo, Token, classify_lines
@@ -117,19 +116,24 @@ class Occurrence(Record):
         self.rhs_has_read = rhs_has_read  # write whose source expression contains read()
 
 
-@dataclass
 class ResolvedUnit:
-    unit: SourceUnit
-    occurrences: tuple[Occurrence, ...]
-    call_graph: frozenset[tuple[str, str]]  # (caller, callee) for user callees
-    stmt_user_callees: dict[int, tuple[str, ...]]  # stmt id -> user functions called
-    runs: dict[str, range]  # function name -> indices of its occurrences: parameters, then body
-    functions: dict[str, FunctionDef] = field(init=False)  # by name, in source order
-    components: dict[str, str] = field(init=False)  # function name -> its call-graph component
+    """A program's occurrences and call graph, with what is derived from them."""
 
-    def __post_init__(self) -> None:
-        self.functions = {fn.name: fn for fn in self.unit.functions}
-        self.components = call_components(self.functions, self.call_graph)
+    def __init__(
+        self,
+        unit: SourceUnit,
+        occurrences: tuple[Occurrence, ...],
+        call_graph: frozenset[tuple[str, str]],
+        stmt_user_callees: dict[int, tuple[str, ...]],
+        runs: dict[str, range],
+    ):
+        self.unit = unit
+        self.occurrences = occurrences
+        self.call_graph = call_graph  # (caller, callee) for user callees
+        self.stmt_user_callees = stmt_user_callees  # stmt id -> user functions called
+        self.runs = runs  # function name -> indices of its occurrences: parameters, then body
+        self.functions: dict[str, FunctionDef] = {fn.name: fn for fn in unit.functions}  # by name, in source order
+        self.components = call_components(self.functions, call_graph)  # function name -> its call-graph component
 
 
 def call_components(functions: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -446,17 +450,28 @@ def resolve(unit: SourceUnit) -> ResolvedUnit:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class IoClassification:
+class IoClassification(Record):
     """Input/output variable sets and the occurrence counts metrics consume."""
 
-    inputs: frozenset[Symbol]
-    outputs: frozenset[Symbol]
-    s_io: int
-    n_operators: int  # total operator occurrences (N_i1)
-    n_operands: int  # total identifier + literal occurrences (N_i2)
-    line_counts: tuple[int, ...]  # identifiers+operators per token-bearing line
-    loc: int
+    __slots__ = ("inputs", "outputs", "s_io", "n_operators", "n_operands", "line_counts", "loc")
+
+    def __init__(
+        self,
+        inputs: frozenset[Symbol],
+        outputs: frozenset[Symbol],
+        s_io: int,
+        n_operators: int,
+        n_operands: int,
+        line_counts: tuple[int, ...],
+        loc: int,
+    ):
+        self.inputs = inputs
+        self.outputs = outputs
+        self.s_io = s_io
+        self.n_operators = n_operators  # total operator occurrences (N_i1)
+        self.n_operands = n_operands  # total identifier + literal occurrences (N_i2)
+        self.line_counts = line_counts  # identifiers+operators per token-bearing line
+        self.loc = loc
 
 
 def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, line_info: LineInfo) -> IoClassification:

@@ -6,71 +6,116 @@ for, while, do-while, call, parallel, interrupt), `read()` / `print(...)`
 builtins, and a `::name` qualifier that reaches the global declaration of a
 name regardless of shadowing.  Every node carries the span of its source
 text; child spans nest inside parent spans.
+
+Nodes are plain classes on `Node`, each with its own positional
+`__init__`, not dataclasses.  `analyze` and `corpus` start a fresh
+interpreter per command, and there the code `dataclass` writes for 27
+classes, with the `dataclasses` import itself, cost more start-up time
+than the analysis of a file of ordinary size.  Each class names the fields
+that hold nodes in `_children`, and `walk` follows those.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, fields
-
 from .errors import Span
+
+
+class Node:
+    """Base of the tree nodes: field equality and a dataclass-style repr.
+
+    A subclass assigns every field in `__init__`, in field order, and lists
+    in `_children`, in that order, the fields that hold a node, a list of
+    nodes or an optional node.  Nodes are mutable, so they do not hash.
+    """
+
+    _children: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
 
 # ============================================================
 # EXPRESSIONS
 # ============================================================
 
 
-@dataclass
-class Expr:
-    span: Span
+class Expr(Node):
+    def __init__(self, span: Span):
+        self.span = span
 
 
-@dataclass
 class Ident(Expr):
-    name: str
-    global_qualified: bool = False
+    def __init__(self, span: Span, name: str, global_qualified: bool = False):
+        self.span = span
+        self.name = name
+        self.global_qualified = global_qualified
 
 
-@dataclass
 class IntLit(Expr):
-    value: int
+    def __init__(self, span: Span, value: int):
+        self.span = span
+        self.value = value
 
 
-@dataclass
 class StrLit(Expr):
-    raw: str  # literal text including the quotes
+    def __init__(self, span: Span, raw: str):
+        self.span = span
+        self.raw = raw  # literal text including the quotes
 
 
-@dataclass
 class Binary(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    _children = ("lhs", "rhs")
+
+    def __init__(self, span: Span, op: str, lhs: Expr, rhs: Expr):
+        self.span = span
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class Unary(Expr):
-    op: str
-    operand: Expr
+    _children = ("operand",)
+
+    def __init__(self, span: Span, op: str, operand: Expr):
+        self.span = span
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class Subscript(Expr):
-    base: Expr
-    index: Expr
+    _children = ("base", "index")
+
+    def __init__(self, span: Span, base: Expr, index: Expr):
+        self.span = span
+        self.base = base
+        self.index = index
 
 
-@dataclass
 class CallExpr(Expr):
-    callee: str
-    args: list[Expr]
+    _children = ("args",)
+
+    def __init__(self, span: Span, callee: str, args: list[Expr]):
+        self.span = span
+        self.callee = callee
+        self.args = args
 
 
-@dataclass
 class ArrayInit(Expr):
     """Brace-enclosed element list, valid only as an array declarator initializer."""
 
-    elements: list[Expr]
+    _children = ("elements",)
+
+    def __init__(self, span: Span, elements: list[Expr]):
+        self.span = span
+        self.elements = elements
 
 
 # ============================================================
@@ -78,95 +123,135 @@ class ArrayInit(Expr):
 # ============================================================
 
 
-@dataclass
-class Stmt:
-    span: Span
+class Stmt(Node):
+    def __init__(self, span: Span):
+        self.span = span
 
 
-@dataclass
-class Declarator:
-    name: str
-    name_span: Span
-    is_array: bool = False
-    init: Expr | None = None
+class Declarator(Node):
+    _children = ("init",)
+
+    def __init__(self, name: str, name_span: Span, is_array: bool = False, init: Expr | None = None):
+        self.name = name
+        self.name_span = name_span
+        self.is_array = is_array
+        self.init = init
 
 
-@dataclass
 class Decl(Stmt):
-    declarators: list[Declarator] = field(default_factory=list)
+    _children = ("declarators",)
+
+    def __init__(self, span: Span, declarators: list[Declarator] | None = None):
+        self.span = span
+        self.declarators = [] if declarators is None else declarators
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr  # Ident or Subscript
-    op: str = "="
-    value: Expr | None = None  # None exactly for ++/--
+    _children = ("target", "value")
+
+    def __init__(self, span: Span, target: Expr, op: str = "=", value: Expr | None = None):
+        self.span = span
+        self.target = target  # Ident or Subscript
+        self.op = op
+        self.value = value  # None exactly for ++/--
 
 
-@dataclass
 class CallStmt(Stmt):
-    callee: str
-    args: list[Expr] = field(default_factory=list)
+    _children = ("args",)
+
+    def __init__(self, span: Span, callee: str, args: list[Expr] | None = None):
+        self.span = span
+        self.callee = callee
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list[Stmt] = field(default_factory=list)
+    _children = ("stmts",)
+
+    def __init__(self, span: Span, stmts: list[Stmt] | None = None):
+        self.span = span
+        self.stmts = [] if stmts is None else stmts
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then_block: Block
-    else_block: Block | None
+    _children = ("cond", "then_block", "else_block")
+
+    def __init__(self, span: Span, cond: Expr, then_block: Block, else_block: Block | None):
+        self.span = span
+        self.cond = cond
+        self.then_block = then_block
+        self.else_block = else_block
 
 
-@dataclass
-class SwitchCase:
-    literal: IntLit
-    block: Block
+class SwitchCase(Node):
+    _children = ("literal", "block")
+
+    def __init__(self, literal: IntLit, block: Block):
+        self.literal = literal
+        self.block = block
 
 
-@dataclass
 class Switch(Stmt):
-    scrutinee: Expr
-    cases: list[SwitchCase]
-    default_block: Block | None
+    _children = ("scrutinee", "cases", "default_block")
+
+    def __init__(self, span: Span, scrutinee: Expr, cases: list[SwitchCase], default_block: Block | None):
+        self.span = span
+        self.scrutinee = scrutinee
+        self.cases = cases
+        self.default_block = default_block
 
 
-@dataclass
 class For(Stmt):
-    init: Stmt | None  # Decl or Assign
-    cond: Expr | None
-    step: Assign | None
-    body: Block
+    _children = ("init", "cond", "step", "body")
+
+    def __init__(self, span: Span, init: Stmt | None, cond: Expr | None, step: Assign | None, body: Block):
+        self.span = span
+        self.init = init  # Decl or Assign
+        self.cond = cond
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: Block
+    _children = ("cond", "body")
+
+    def __init__(self, span: Span, cond: Expr, body: Block):
+        self.span = span
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class DoWhile(Stmt):
-    body: Block
-    cond: Expr
+    _children = ("body", "cond")
+
+    def __init__(self, span: Span, body: Block, cond: Expr):
+        self.span = span
+        self.body = body
+        self.cond = cond
 
 
-@dataclass
 class Parallel(Stmt):
-    body: Block
+    _children = ("body",)
+
+    def __init__(self, span: Span, body: Block):
+        self.span = span
+        self.body = body
 
 
-@dataclass
 class Interrupt(Stmt):
-    body: Block
+    _children = ("body",)
+
+    def __init__(self, span: Span, body: Block):
+        self.span = span
+        self.body = body
 
 
-@dataclass
 class Return(Stmt):
-    value: Expr | None = None
+    _children = ("value",)
+
+    def __init__(self, span: Span, value: Expr | None = None):
+        self.span = span
+        self.value = value
 
 
 # ============================================================
@@ -174,26 +259,30 @@ class Return(Stmt):
 # ============================================================
 
 
-@dataclass
-class Param:
-    name: str
-    span: Span
-    is_array: bool = False
+class Param(Node):
+    def __init__(self, name: str, span: Span, is_array: bool = False):
+        self.name = name
+        self.span = span
+        self.is_array = is_array
 
 
-@dataclass
-class FunctionDef:
-    name: str
-    params: list[Param]
-    body: Block
-    span: Span
-    ret_type: str = "void"  # void | int
+class FunctionDef(Node):
+    _children = ("params", "body")
+
+    def __init__(self, name: str, params: list[Param], body: Block, span: Span, ret_type: str = "void"):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.span = span
+        self.ret_type = ret_type  # void | int
 
 
-@dataclass
-class SourceUnit:
-    functions: list[FunctionDef]
-    globals: list[Decl]
+class SourceUnit(Node):
+    _children = ("functions", "globals")
+
+    def __init__(self, functions: list[FunctionDef], globals: list[Decl]):
+        self.functions = functions
+        self.globals = globals
 
     def function(self, name: str) -> FunctionDef:
         for fn in self.functions:
@@ -219,15 +308,9 @@ def _subclass_tree(cls: type) -> list[type]:
 # NODE_TYPES and every class below them, however deep.
 NODE_CLASSES = frozenset(c for base in NODE_TYPES for c in _subclass_tree(base))
 
-_NODE_NAMES = frozenset(c.__name__ for c in NODE_CLASSES)
-
-# Per node class, the fields whose annotation names a node class (a node, a
-# list of nodes, or an optional node), last field first: the order in which
-# `walk` pushes them.
-_CHILD_FIELDS = {
-    cls: tuple(f.name for f in reversed(fields(cls)) if _NODE_NAMES.intersection(re.findall(r"\w+", f.type)))
-    for cls in NODE_CLASSES
-}
+# Per node class, its child fields last first: the order in which `walk`
+# pushes them.
+_CHILD_FIELDS = {cls: cls._children[::-1] for cls in NODE_CLASSES}
 
 
 def walk(node):

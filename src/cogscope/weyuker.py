@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from . import shards
 from .analysis import METRIC_IDS, Analysis, analyze_rendered, analyze_source, metric_value
@@ -37,23 +36,32 @@ PROPERTY_IDS = ("1", "2", "3", "4", "5", "6a", "6b", "7", "8", "9")
 _FLOAT_TOL = 1e-9
 
 
-@dataclass
 class PropertyResult:
-    property_id: str
-    metric: str
-    status: str  # satisfied | violated | vacuous
-    trials: int = 0
-    witness: dict | None = None
-    note: str = ""
+    def __init__(
+        self, property_id: str, metric: str, status: str, trials: int = 0, witness: dict | None = None, note: str = ""
+    ):
+        self.property_id = property_id
+        self.metric = metric
+        self.status = status  # satisfied | violated | vacuous
+        self.trials = trials
+        self.witness = witness
+        self.note = note
 
 
-@dataclass
 class ConformanceTable:
-    seed: int
-    trials: int
-    results: dict[str, dict[str, PropertyResult]]  # metric -> property -> result
-    expected: dict[str, dict[str, str]]
-    matches: dict[str, bool | None]  # None = no documented expectation
+    def __init__(
+        self,
+        seed: int,
+        trials: int,
+        results: dict[str, dict[str, PropertyResult]],
+        expected: dict[str, dict[str, str]],
+        matches: dict[str, bool | None],
+    ):
+        self.seed = seed
+        self.trials = trials
+        self.results = results  # metric -> property -> result
+        self.expected = expected
+        self.matches = matches  # None = no documented expectation
 
 
 # ============================================================

@@ -510,22 +510,29 @@ def test_weyuker_json_bytes_are_pinned(capsys):
 
 
 def test_module_invocation_works(fixtures_dir):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "cogscope.cli", "analyze", str(fixtures_dir / "esciu.ml1")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "escim = 1" in proc.stdout
 
 
 def test_analyze_does_not_import_the_weyuker_stack(fixtures_dir):
+    """`analyze` and `corpus` load neither the Weyuker stack (harness,
+    generator, transforms, renderer) nor the dataclasses machinery: every
+    fresh interpreter would pay for them again."""
     script = (
         "import sys\n"
         "from cogscope.cli import main\n"
         f"assert main(['analyze', {str(fixtures_dir / 'eg1.ml1')!r}, '--format', 'json']) == 0\n"
-        "stack = ('cogscope.weyuker', 'cogscope.generator', 'cogscope.transforms')\n"
-        "sys.stderr.write(repr([name for name in stack if name in sys.modules]))\n"
+        f"assert main(['corpus', {str(fixtures_dir)!r}, '--csv']) == 0\n"
+        "unused = ('dataclasses', 'inspect', 'cogscope.render', 'cogscope.transforms',\n"
+        "          'cogscope.generator', 'cogscope.weyuker')\n"
+        "sys.stderr.write(repr([name for name in unused if name in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)

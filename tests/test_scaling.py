@@ -8,14 +8,12 @@ size; wall time is never compared.
 
 from __future__ import annotations
 
-import dataclasses
-
 from cogscope import analysis as analysis_module
 from cogscope.analysis import analyze_source
 from cogscope.granules import granulate
 from cogscope.parser import parse_source
 from cogscope.report import report_document
-from cogscope.resolve import resolve
+from cogscope.resolve import ResolvedUnit, resolve
 
 
 class _Counted(tuple):
@@ -58,7 +56,9 @@ def test_analysis_and_report_read_each_occurrence_a_bounded_number_of_times(monk
     def resolve_counted(unit):
         resolved = resolve(unit)
         counted.append(_Counted(resolved.occurrences))
-        return dataclasses.replace(resolved, occurrences=counted[-1])
+        return ResolvedUnit(
+            resolved.unit, counted[-1], resolved.call_graph, resolved.stmt_user_callees, resolved.runs
+        )
 
     monkeypatch.setattr(analysis_module, "resolve", resolve_counted)
     analysis = analyze_source(_many_functions(50))
@@ -82,7 +82,7 @@ def test_granulating_a_call_chain_reads_each_call_edge_a_bounded_number_of_times
     count = 100
     resolved = resolve(parse_source(_chain(count)))
     edges = _Counted(resolved.call_graph)
-    resolved = dataclasses.replace(resolved, call_graph=edges)
+    resolved = ResolvedUnit(resolved.unit, resolved.occurrences, edges, resolved.stmt_user_callees, resolved.runs)
     kinds = [g.kind for fn in resolved.unit.functions for g in granulate(resolved, fn.name).walk()]
     assert kinds.count("CALL") == count and "RECURSION" not in kinds
     assert len(edges) == count

@@ -3,10 +3,14 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from conftest import FIXTURES
 from test_info import FULL_LANGUAGE
 
+from cogscope.generator import GeneratorConfig, generate
 from cogscope.parser import parse_source
-from cogscope.syntax import NODE_CLASSES, Binary, Ident, IntLit, walk
+from cogscope.syntax import _CHILD_FIELDS, NODE_CLASSES, Binary, Ident, IntLit, walk
+
+FIXTURE_NAMES = ["eg1.ml1", "eg2.ml1", "eg3.ml1", "eg4.ml1", "empty.ml1", "esciu.ml1", "p4_formula.ml1", "p4_loop.ml1"]
 
 
 def _field_scan(node) -> list:
@@ -19,10 +23,7 @@ def _field_scan(node) -> list:
     return found
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["eg1.ml1", "eg2.ml1", "eg3.ml1", "eg4.ml1", "empty.ml1", "esciu.ml1", "p4_formula.ml1", "p4_loop.ml1", "full"],
-)
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "full"])
 def test_walk_yields_every_node_once(name, fixture_text):
     unit = parse_source(FULL_LANGUAGE if name == "full" else fixture_text(name))
     walked = Counter(map(id, walk(unit)))
@@ -35,3 +36,40 @@ def test_walk_is_preorder_in_evaluation_order():
     init = unit.function("main").body.stmts[1].declarators[0].init
     assert list(walk(init)) == [init, init.lhs, init.rhs, init.rhs.lhs, init.rhs.rhs]
     assert [type(n) for n in walk(init)] == [Binary, Ident, Binary, IntLit, Ident]
+
+
+# ---------- child fields: the names each class gives match its values ----------
+
+
+def _is_node(value) -> bool:
+    return type(value) in NODE_CLASSES
+
+
+def _reference_walk(node) -> list:
+    """Preorder over every field value that is a node or a list of nodes, in
+    field order; independent of the classes' child-field names."""
+    found = [node]
+    for value in vars(node).values():
+        for item in value if isinstance(value, list) else [value]:
+            if _is_node(item):
+                found.extend(_reference_walk(item))
+    return found
+
+
+def _child_field_programs() -> list[str]:
+    sources = [(FIXTURES / name).read_text() for name in FIXTURE_NAMES] + [FULL_LANGUAGE]
+    return sources + [generate(GeneratorConfig(seed=seed + 23_000, max_statements=9)) for seed in range(200)]
+
+
+def test_child_fields_are_exactly_the_fields_holding_nodes():
+    for k, source in enumerate(_child_field_programs()):
+        unit = parse_source(source)
+        for node in walk(unit):
+            children = set(_CHILD_FIELDS[type(node)])
+            for name, value in vars(node).items():
+                holds_nodes = _is_node(value) or (isinstance(value, list) and value and all(map(_is_node, value)))
+                if holds_nodes:
+                    assert name in children, (k, type(node).__name__, name)
+                elif name in children:
+                    assert value is None or value == [], (k, type(node).__name__, name, value)
+        assert list(map(id, walk(unit))) == list(map(id, _reference_walk(unit))), k
