@@ -14,7 +14,8 @@ FIXTURE_NAMES = ["eg1.ml1", "eg2.ml1", "eg3.ml1", "eg4.ml1", "empty.ml1", "esciu
 
 
 def _field_scan(node) -> list:
-    """Every node under `node`, found by looking at every field value."""
+    """Every node under `node`, found by looking at every field value: a
+    preorder in field order that does not read the classes' child fields."""
     found = [node]
     for value in vars(node).values():
         for item in value if isinstance(value, list) else [value]:
@@ -41,21 +42,6 @@ def test_walk_is_preorder_in_evaluation_order():
 # ---------- child fields: the names each class gives match its values ----------
 
 
-def _is_node(value) -> bool:
-    return type(value) in NODE_CLASSES
-
-
-def _reference_walk(node) -> list:
-    """Preorder over every field value that is a node or a list of nodes, in
-    field order; independent of the classes' child-field names."""
-    found = [node]
-    for value in vars(node).values():
-        for item in value if isinstance(value, list) else [value]:
-            if _is_node(item):
-                found.extend(_reference_walk(item))
-    return found
-
-
 def _child_field_programs() -> list[str]:
     sources = [(FIXTURES / name).read_text() for name in FIXTURE_NAMES] + [FULL_LANGUAGE]
     return sources + [generate(GeneratorConfig(seed=seed + 23_000, max_statements=9)) for seed in range(200)]
@@ -67,9 +53,11 @@ def test_child_fields_are_exactly_the_fields_holding_nodes():
         for node in walk(unit):
             children = set(_CHILD_FIELDS[type(node)])
             for name, value in vars(node).items():
-                holds_nodes = _is_node(value) or (isinstance(value, list) and value and all(map(_is_node, value)))
+                holds_nodes = type(value) in NODE_CLASSES or (
+                    isinstance(value, list) and value and all(type(item) in NODE_CLASSES for item in value)
+                )
                 if holds_nodes:
                     assert name in children, (k, type(node).__name__, name)
                 elif name in children:
                     assert value is None or value == [], (k, type(node).__name__, name, value)
-        assert list(map(id, walk(unit))) == list(map(id, _reference_walk(unit))), k
+        assert list(map(id, walk(unit))) == list(map(id, _field_scan(unit))), k
