@@ -1,12 +1,9 @@
 """cogscope: scope-aware cognitive information complexity for MiniLang.
 
-``cogscope.render`` is the function ``cogscope.render.render``.  Only the
-Weyuker harness needs the renderer, so it is imported on first use, and
-``analyze`` and ``corpus`` start without it.
+The renderer, generator, transforms and Weyuker harness are submodules that
+this package does not import, so ``analyze`` and ``corpus`` start without
+them; ``cogscope.render`` is the renderer's module.
 """
-
-import sys as _sys
-from types import ModuleType as _ModuleType
 
 from .analysis import Analysis, analyze_source, metric_value
 from .errors import (
@@ -28,33 +25,12 @@ from .info import (
     region_extrema,
     scope_information,
 )
-from .lexer import Token, count_lines, tokenize
+from .lexer import Token, tokenize
 from .metrics import cfs, cpcm, efficiency, escim, mccm, scim_icn, wics_cicm
 from .parser import parse, parse_source
-from .resolve import ResolvedUnit, classify_io, operator_count, resolve
+from .resolve import ResolvedUnit, classify_io, resolve
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name == "render":
-        from .render import render  # rebinds cogscope.render to the function: see _Package
-
-        return render
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _Package(_ModuleType):
-    """This package's module, on which importing the submodule ``render``
-    binds its function ``render``, not the submodule, as ``render``."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "render" and value.__class__ is _ModuleType:
-            value = value.render
-        super().__setattr__(name, value)
-
-
-_sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "Analysis",
@@ -74,7 +50,6 @@ __all__ = [
     "classify_io",
     "compute_icn",
     "compute_sicn",
-    "count_lines",
     "cpcm",
     "efficiency",
     "escim",
@@ -83,11 +58,9 @@ __all__ = [
     "mccm",
     "metric_value",
     "name_extrema",
-    "operator_count",
     "parse",
     "parse_source",
     "region_extrema",
-    "render",
     "resolve",
     "scim_icn",
     "scope_information",

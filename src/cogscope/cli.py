@@ -40,7 +40,7 @@ from functools import partial
 from pathlib import Path
 
 from . import shards
-from .analysis import METRIC_IDS, analyze_source
+from .analysis import METRIC_IDS, Analysis, analyze_source
 from .errors import MiniLangError
 from .report import (
     CSV_COLUMNS,
@@ -102,24 +102,27 @@ def build_parser() -> argparse.ArgumentParser:
 # ============================================================
 
 
+def _analyze_file(path: str) -> Analysis | str:
+    """The Analysis of one file, or the message that says why there is none."""
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        return f"{path}: cannot read: {exc}"
+    except UnicodeDecodeError:
+        return f"{path}: cannot decode"
+    try:
+        return analyze_source(source, path=path)
+    except MiniLangError as exc:
+        return exc.render(path)
+
+
 def cmd_analyze(args) -> int:
     documents = []
     failed = False
     for path in args.paths:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"{path}: cannot read: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        except UnicodeDecodeError:
-            print(f"{path}: cannot decode", file=sys.stderr)
-            failed = True
-            continue
-        try:
-            analysis = analyze_source(source, path=path)
-        except MiniLangError as exc:
-            print(exc.render(path), file=sys.stderr)
+        analysis = _analyze_file(path)
+        if isinstance(analysis, str):
+            print(analysis, file=sys.stderr)
             failed = True
             continue
         if args.format == "json":
@@ -226,18 +229,11 @@ def _corpus_rows(paths: list[Path], start: int, stop: int) -> list:
     """Per file of paths[start:stop]: its CSV record and E, or its failure message."""
     rows = []
     for path in paths[start:stop]:
-        try:
-            analysis = analyze_source(path.read_text(encoding="utf-8"), path=str(path))
-        except OSError as exc:
-            rows.append(f"{path}: cannot read: {exc}")
-            continue
-        except MiniLangError as exc:
-            rows.append(exc.render(str(path)))
-            continue
-        except UnicodeDecodeError:
-            rows.append(f"{path}: cannot decode")
-            continue
-        rows.append((csv_record(str(path), analysis), analysis.program.efficiency_e))
+        analysis = _analyze_file(str(path))
+        if isinstance(analysis, str):
+            rows.append(analysis)
+        else:
+            rows.append((csv_record(str(path), analysis), analysis.program.efficiency_e))
     return rows
 
 

@@ -3,11 +3,16 @@
 Each function body is partitioned into alternating maximal runs of simple
 statements (one SEQ granule per run) and control-structure granules, in
 source order.  Control bodies decompose recursively by the same rule; a
-control structure with no nested control anywhere inside is a leaf.  A
-simple statement that calls a user-defined function becomes its own CALL
-granule (RECURSION when the callee sits on a call-graph cycle through the
-caller).  Loop headers belong to the loop granule itself.  Bare blocks are
-transparent: their statements join the surrounding stream.
+control structure whose bodies hold no control structure and no user call
+is a leaf, and their statements belong to it.  A simple statement that
+calls a user-defined function becomes its own CALL granule (RECURSION when
+the callee sits on a call-graph cycle through the caller).  Loop headers
+belong to the loop granule itself.  Bare blocks are transparent: their
+statements join the surrounding stream.
+
+A function's granule ids count from 0 in preorder: a control granule takes
+its id before the granules of its bodies, and a SEQ granule takes its id
+when its run closes, before the granule that closes it.
 
 Cognitive weights:
 
@@ -18,6 +23,7 @@ Cognitive weights:
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import count
 
 from .errors import Span
 from .resolve import ResolvedUnit
@@ -88,11 +94,9 @@ class Granule:
 
 
 class GranuleTree:
-    def __init__(self, function: str, top: list[Granule], leaf_count: int, max_depth: int):
+    def __init__(self, function: str, top: list[Granule]):
         self.function = function
         self.top = top
-        self.leaf_count = leaf_count
-        self.max_depth = max_depth
 
     def walk(self):
         stack = list(reversed(self.top))
@@ -125,164 +129,77 @@ class GranuleTree:
 # ============================================================
 
 
-def _flatten(stmts: list[Stmt]) -> list[Stmt]:
-    """Expand bare blocks; Block nodes are containers, not BCS units."""
-    out: list[Stmt] = []
+def _flatten(stmts: list[Stmt], out: list[Stmt]) -> list[Stmt]:
+    """Append stmts to out with bare blocks expanded; Block nodes are
+    containers, not BCS units."""
     for s in stmts:
-        if isinstance(s, Block):
-            out.extend(_flatten(s.stmts))
+        if s.__class__ is Block:
+            _flatten(s.stmts, out)
         else:
             out.append(s)
     return out
 
 
-def _body_streams(stmt: Stmt) -> list[list[Stmt]]:
-    """The statement lists a control structure runs, in source order."""
-    if isinstance(stmt, If):
-        streams = [stmt.then_block.stmts]
-        if stmt.else_block is not None:
-            streams.append(stmt.else_block.stmts)
-        return streams
-    if isinstance(stmt, Switch):
-        streams = [c.block.stmts for c in stmt.cases]
-        if stmt.default_block is not None:
-            streams.append(stmt.default_block.stmts)
-        return streams
-    if isinstance(stmt, (For, While, DoWhile, Parallel, Interrupt)):
-        return [stmt.body.stmts]
-    raise TypeError(type(stmt).__name__)
+def _decompose(resolved: ResolvedUnit, home: str, stmts: list[Stmt], depth: int, ids: count) -> list[Granule]:
+    """The granules of one flattened statement list, in source order.
+
+    home is the function's call-graph component; ids numbers the granules of
+    the whole function.
+    """
+    callees = resolved.stmt_user_callees
+    components = resolved.components
+    granules: list[Granule] = []
+    run: list[Stmt] = []
+    for s in (*stmts, None):  # None closes the last run
+        kind = _CONTROL_KIND.get(s.__class__)
+        if kind is None and s is not None and id(s) not in callees:
+            run.append(s)
+            continue
+        if run:
+            region = Span(run[0].span.start, run[-1].span.end, run[0].span.line, run[0].span.col)
+            granules.append(Granule(next(ids), SEQ, WEIGHTS[SEQ], region, depth, tuple(map(id, run))))
+            run = []
+        if kind is not None:
+            granules.append(_control(resolved, home, s, kind, depth, ids))
+        elif s is not None:  # RECURSION when a callee reaches the caller: both in one component
+            kind = RECURSION if any(components[c] == home for c in callees[id(s)]) else CALL
+            granules.append(Granule(next(ids), kind, WEIGHTS[kind], s.span, depth, (id(s),)))
+    return granules
 
 
-def _has_nested_control(streams: list[list[Stmt]]) -> bool:
-    for stream in streams:
-        for s in _flatten(stream):
-            if type(s) in _CONTROL_KIND:
-                return True
-    return False
+def _control(resolved: ResolvedUnit, home: str, stmt: Stmt, kind: str, depth: int, ids: count) -> Granule:
+    """The granule of one control structure, numbered before its bodies' granules.
 
-
-def _header_stmt_ids(stmt: Stmt) -> list[int]:
-    ids = []
-    if isinstance(stmt, For):
-        if stmt.init is not None:
-            ids.append(id(stmt.init))
-        if stmt.step is not None:
-            ids.append(id(stmt.step))
-    return ids
-
-
-class _Builder:
-    def __init__(self, resolved: ResolvedUnit, function: str):
-        self.resolved = resolved
-        self.function = function
-        self.next_id = 0
-        self.max_depth = 0
-        self.leaf_count = 0
-
-    def fresh(self) -> int:
-        gid = self.next_id
-        self.next_id += 1
-        return gid
-
-    def user_callees(self, stmt: Stmt) -> tuple[str, ...]:
-        return self.resolved.stmt_user_callees.get(id(stmt), ())
-
-    def call_kind(self, stmt: Stmt) -> str:
-        """RECURSION when a callee reaches the caller: both in one component."""
-        components = self.resolved.components
-        home = components[self.function]
-        for callee in self.user_callees(stmt):
-            if components[callee] == home:
-                return RECURSION
-        return CALL
-
-    def decompose(self, stmts: list[Stmt], depth: int) -> list[Granule]:
-        self.max_depth = max(self.max_depth, depth)
-        items = _flatten(stmts)
-        granules: list[Granule] = []
-        run: list[Stmt] = []
-
-        def flush_run() -> None:
-            if not run:
-                return
-            region = Span(
-                run[0].span.start, run[-1].span.end, run[0].span.line, run[0].span.col
-            )
-            granules.append(
-                Granule(
-                    id=self.fresh(),
-                    kind=SEQ,
-                    weight=WEIGHTS[SEQ],
-                    region=region,
-                    depth=depth,
-                    anchor_ids=tuple(id(s) for s in run),
-                )
-            )
-            self.leaf_count += 1
-            run.clear()
-
-        for s in items:
-            kind = _CONTROL_KIND.get(type(s))
-            if kind is not None:
-                flush_run()
-                granules.append(self.control_granule(s, kind, depth))
-            elif self.user_callees(s):
-                flush_run()
-                call_kind = self.call_kind(s)
-                granules.append(
-                    Granule(
-                        id=self.fresh(),
-                        kind=call_kind,
-                        weight=WEIGHTS[call_kind],
-                        region=s.span,
-                        depth=depth,
-                        anchor_ids=(id(s),),
-                    )
-                )
-                self.leaf_count += 1
-            else:
-                run.append(s)
-        flush_run()
-        return granules
-
-    def control_granule(self, stmt: Stmt, kind: str, depth: int) -> Granule:
-        gid = self.fresh()
-        streams = _body_streams(stmt)
-        anchors = _header_stmt_ids(stmt)
-        nested = _has_nested_control(streams) or any(
-            self.user_callees(s) for stream in streams for s in _flatten(stream)
-        )
-        children: list[Granule] = []
-        if nested:
-            for stream in streams:
-                children.extend(self.decompose(stream, depth + 1))
-        else:  # a leaf: its body's statements anchor here too
-            for stream in streams:
-                anchors.extend(id(s) for s in _flatten(stream))
-            self.leaf_count += 1
-        anchors.append(id(stmt))
-        return Granule(
-            id=gid,
-            kind=kind,
-            weight=WEIGHTS[kind],
-            region=stmt.span,
-            depth=depth,
-            anchor_ids=tuple(anchors),
-            children=children,
-        )
+    Each body is flattened once.  When one of them holds a control structure
+    or a user call, the bodies decompose one level deeper; otherwise the
+    granule is a leaf and their statements anchor to it.  A for loop's init
+    and step anchor to it either way.
+    """
+    gid = next(ids)
+    if kind == ITE:
+        blocks = (stmt.then_block, stmt.else_block)
+    elif kind == CASE:
+        blocks = (*(c.block for c in stmt.cases), stmt.default_block)
+    else:
+        blocks = (stmt.body,)
+    bodies = [_flatten(block.stmts, []) for block in blocks if block is not None]
+    anchors = [id(h) for h in (stmt.init, stmt.step) if h is not None] if kind == FOR else []
+    callees = resolved.stmt_user_callees
+    children: list[Granule] = []
+    if any(s.__class__ in _CONTROL_KIND or id(s) in callees for body in bodies for s in body):
+        for body in bodies:
+            children += _decompose(resolved, home, body, depth + 1, ids)
+    else:
+        for body in bodies:
+            anchors += map(id, body)
+    anchors.append(id(stmt))
+    return Granule(gid, kind, WEIGHTS[kind], stmt.span, depth, tuple(anchors), children)
 
 
 def granulate(resolved: ResolvedUnit, function: str) -> GranuleTree:
     """Decompose one function into its granule hierarchy."""
-    fn = resolved.functions[function]
-    builder = _Builder(resolved, function)
-    top = builder.decompose(fn.body.stmts, depth=1)
-    return GranuleTree(
-        function=function,
-        top=top,
-        leaf_count=builder.leaf_count,
-        max_depth=builder.max_depth,
-    )
+    body = _flatten(resolved.functions[function].body.stmts, [])
+    return GranuleTree(function, _decompose(resolved, resolved.components[function], body, 1, count()))
 
 
 def structural_weight(tree: GranuleTree) -> int:

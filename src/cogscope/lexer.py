@@ -198,8 +198,3 @@ def classify_lines(tokens: list[Token]) -> LineInfo:
     if current:
         records.append(LineRecord(idents, ops, lits))
     return LineInfo(loc=len(records), lines=tuple(records))
-
-
-def count_lines(source: str) -> LineInfo:
-    """LOC of raw source: number of lines bearing at least one token."""
-    return classify_lines(tokenize(source))

@@ -19,8 +19,9 @@ strongly connected components are found once per resolve
 (`ResolvedUnit.components`).
 
 Each write-like occurrence carries the operator count of its statement
-(compound assignment and ++/-- count as one operator each; plain '=',
-subscripts, calls and commas count zero), so the counting engines only add.
+(each binary and unary operator counts one, and so do a compound assignment
+and ++/--; plain '=', subscripts, '::', calls and commas count zero), so the
+counting engines only add.
 
 I/O classification is per function, as the metrics read it.  Classification
 reads each function's run: its parameters are the run's first occurrences,
@@ -179,26 +180,6 @@ def call_components(functions: Iterable[str], edges: Iterable[tuple[str, str]]) 
                         member = stack.pop()
                         component[member] = node
     return component
-
-
-# ============================================================
-# OPERATOR COUNTING
-# ============================================================
-
-
-def operator_count(node: Stmt | Expr | None) -> int:
-    """Counted operator occurrences of one statement or expression.
-
-    Counted: binary arithmetic/relational/logical/bitwise/shift operators,
-    unary minus and '!', one per compound assignment, one per ++/--.
-    Not counted: plain '=', subscripts, qualifier '::', calls, commas.
-    """
-    if node is None:
-        return 0
-    if not isinstance(node, (Expr, Assign, Decl, CallStmt, Return)):
-        raise TypeError(f"operator_count over {type(node).__name__} is not statement-local")
-    compound = int(isinstance(node, Assign) and node.op != "=")
-    return compound + sum(1 for n in walk(node) if n.__class__ is Binary or n.__class__ is Unary)
 
 
 # ============================================================

@@ -10,7 +10,6 @@ import hashlib
 import random
 import time
 
-import pytest
 from _replay import oracle_escim, oracle_i, oracle_si, replay
 
 from cogscope.analysis import analyze_source
@@ -19,7 +18,6 @@ from cogscope.generator import GeneratorConfig, generate
 from cogscope.granules import weight_of
 from cogscope.info import info_content, name_extrema, scope_information
 from cogscope.parser import parse_source
-from cogscope.render import render
 
 
 def _report(criterion: int, text: str) -> None:

@@ -3,7 +3,9 @@ from __future__ import annotations
 from cogscope.analysis import analyze_source
 from cogscope.generator import DEFAULT_WEIGHTS, GeneratorConfig, generate
 from cogscope.parser import parse_source
+from cogscope.render import render
 from cogscope.resolve import resolve
+from cogscope.weyuker import WeyukerHarness
 
 
 def test_same_seed_same_program():
@@ -89,3 +91,37 @@ def test_weights_config_is_respected():
     source = generate(GeneratorConfig(seed=3, max_statements=8, weights=weights, allow_functions=False, allow_globals=False))
     for token in ("if", "while", "for", "switch", "print"):
         assert token not in source
+
+
+# ---------- the generator writes canonical text ----------
+# The Weyuker harness takes pool programs as rendered text, and its LOC-based
+# checks compare them with rendered compositions, so the generator must
+# write exactly what render writes for the program it generated.
+
+
+def _assert_canonical(source: str, label) -> None:
+    assert str(render(parse_source(source))) == source, label
+
+
+def test_weyuker_pool_programs_are_canonical_text():
+    for seed in range(4):
+        for i, source in enumerate(WeyukerHarness(seed=seed, trials=1000).pool()):
+            _assert_canonical(source, (seed, i))
+
+
+def test_generated_programs_are_canonical_text_across_configs():
+    for statements in (0, 1, 4, 12, 40):
+        for depth in (0, 1, 2, 4):
+            for pool in (1, 3, 8):
+                for flags in ((True, True), (False, False), (True, False), (False, True)):
+                    for seed in range(5):
+                        config = GeneratorConfig(seed=seed + 1000 * statements, max_statements=statements,
+                                                 max_nesting_depth=depth, variable_pool_size=pool,
+                                                 allow_globals=flags[0], allow_functions=flags[1])
+                        _assert_canonical(generate(config), vars(config))
+
+
+def test_large_generated_programs_are_canonical_text():
+    for seed in range(3):
+        config = GeneratorConfig(seed=seed, max_statements=1200, max_nesting_depth=4, variable_pool_size=12)
+        _assert_canonical(generate(config), seed)

@@ -41,7 +41,7 @@ def test_straight_line_body_is_one_seq_leaf():
 def test_eg4_is_one_seq_leaf(fixture_text):
     tree = _tree(fixture_text("eg4.ml1"))
     assert [g.kind for g in tree.top] == ["SEQ"]
-    assert tree.leaf_count == 1
+    assert sum(g.is_leaf for g in tree.walk()) == 1
 
 
 def test_one_nesting_layer():
@@ -77,7 +77,7 @@ def test_eg3_granule_tree_shape(fixture_text):
     assert [g.kind for g in inner_while.children] == ["ITE", "SEQ"]
     inner_for = outer.children[3]
     assert [g.kind for g in inner_for.children] == ["ITE", "SEQ"]
-    assert tree.max_depth == 3
+    assert max(g.depth for g in tree.walk()) == 3
 
 
 def test_user_call_forms_call_granule():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from cogscope.errors import LexError
-from cogscope.lexer import count_lines, tokenize
+from cogscope.lexer import classify_lines, tokenize
 
 
 def test_empty_input_gives_empty_sequence():
@@ -78,24 +78,28 @@ def test_compound_operators_lex_as_single_tokens():
         assert op in texts
 
 
-# ---------- count_lines ----------
+# ---------- line counts ----------
+
+
+def _line_info(source: str):
+    return classify_lines(tokenize(source))
 
 
 def test_count_lines_empty():
-    assert count_lines("").loc == 0
+    assert _line_info("").loc == 0
 
 
 def test_count_lines_excludes_blank_and_comment_lines():
-    assert count_lines("int a;\n\n// note\na = 1;").loc == 2
+    assert _line_info("int a;\n\n// note\na = 1;").loc == 2
 
 
 def test_count_lines_counts_brace_and_signature_lines(fixture_text):
     # signature, five statements, closing brace
-    assert count_lines(fixture_text("eg1.ml1")).loc == 7
+    assert _line_info(fixture_text("eg1.ml1")).loc == 7
 
 
 def test_per_line_counts_identifiers_and_operators():
-    info = count_lines("a = b + c;\nprint(x);\n")
+    info = _line_info("a = b + c;\nprint(x);\n")
     assert [rec.n for rec in info.lines] == [4, 2]  # a,b,c,+ then print,x
 
 

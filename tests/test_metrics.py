@@ -5,18 +5,9 @@ import pytest
 from cogscope.analysis import analyze_source
 from cogscope.errors import UndefinedEfficiencyError
 from cogscope.generator import GeneratorConfig, generate
-from cogscope.metrics import (
-    cfs,
-    cpcm,
-    efficiency,
-    escim,
-    granule_report,
-    mccm,
-    scim_icn,
-    wics_cicm,
-)
+from cogscope.metrics import cfs, cpcm, efficiency, mccm, wics_cicm
 from cogscope.parser import parse_source
-from cogscope.resolve import Symbol, IoClassification, resolve
+from cogscope.resolve import IoClassification, Symbol
 
 
 def _io(inputs=0, outputs=0, s_io=0, n_ops=0, n_operands=0):

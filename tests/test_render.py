@@ -55,15 +55,11 @@ def _comparable(analysis) -> dict:
     resolved = analysis.resolved
     occurrences = [(*o._fields()[:4], at[o.stmt_id], *o._fields()[5:]) for o in resolved.occurrences]
     trees = {
-        name: (
-            [
-                (g.id, g.kind, g.weight, g.region, g.depth, [at[i] for i in g.anchor_ids],
-                 [c.id for c in g.children])
-                for g in tree.walk()
-            ],
-            tree.leaf_count,
-            tree.max_depth,
-        )
+        name: [
+            (g.id, g.kind, g.weight, g.region, g.depth, [at[i] for i in g.anchor_ids],
+             [c.id for c in g.children])
+            for g in tree.walk()
+        ]
         for name, tree in analysis.trees.items()
     }
     return {

@@ -15,7 +15,7 @@ from cogscope.generator import GeneratorConfig, generate
 from cogscope.info import annotate
 from cogscope.lexer import tokenize
 from cogscope.parser import parse_source
-from cogscope.resolve import call_components, classify_io, operator_count, resolve
+from cogscope.resolve import call_components, classify_io, resolve
 
 
 def _resolved(source: str):
@@ -119,38 +119,36 @@ def test_renaming_gives_isomorphic_bindings():
     ]
 
 
-# ---------- operator_count ----------
+# ---------- operator counts of writes ----------
 
 
-def _stmt(source: str, index: int = 0):
-    return parse_source(source).function("main").body.stmts[index]
+def _write_ops(source: str) -> int:
+    """The operator count the last write of the program carries."""
+    return [o for o in _resolved(source).occurrences if o.kind == "write"][-1].ops_delta
 
 
 def test_plain_assignment_has_no_operators():
-    assert operator_count(_stmt("void main(){int a; int b; a = b;}", 2)) == 0
+    assert _write_ops("void main(){int a; int b; a = b;}") == 0
 
 
 def test_rhs_operator_counts_once():
-    stmt = _stmt("void main(){int s = 0; int key[] = {1}; int i = 0; s = s + key[i];}", 3)
-    assert operator_count(stmt) == 1
+    assert _write_ops("void main(){int s = 0; int key[] = {1}; int i = 0; s = s + key[i];}") == 1
 
 
 def test_increment_counts_one_operator():
-    assert operator_count(_stmt("void main(){int s = 0; s++;}", 1)) == 1
+    assert _write_ops("void main(){int s = 0; s++;}") == 1
 
 
 def test_compound_assign_counts_one_plus_rhs():
-    assert operator_count(_stmt("void main(){int s = 0; s += s * 2;}", 1)) == 2
+    assert _write_ops("void main(){int s = 0; s += s * 2;}") == 2
 
 
 def test_subscript_and_call_add_nothing():
-    stmt = _stmt("int f(int x){return x;} void main(){int a[] = {1}; int b = 0; b = f(a[b]);}", 2)
-    assert operator_count(stmt) == 0
+    assert _write_ops("int f(int x){return x;} void main(){int a[] = {1}; int b = 0; b = f(a[b]);}") == 0
 
 
 def test_target_subscript_operators_count():
-    stmt = _stmt("void main(){int k[] = {1, 2}; int i = 1; k[i - 1] = k[i];}", 2)
-    assert operator_count(stmt) == 1
+    assert _write_ops("void main(){int k[] = {1, 2}; int i = 1; k[i - 1] = k[i];}") == 1
 
 
 def test_left_deep_sums_of_2000_terms_analyze(tmp_path, capsys):
