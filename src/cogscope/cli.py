@@ -1,7 +1,8 @@
 """Command-line interface: cogscope analyze | weyuker | corpus.
 
 Exit codes: 0 success (and, for weyuker, conformance as documented);
-1 analysis failures or conformance mismatch; 2 usage errors.
+1 analysis failures or conformance mismatch; 2 usage errors, and a weyuker
+``--witness-dir`` that cannot be created or written.
 The environment variable COGSCOPE_SEED supplies the default seed; a value
 that is not an integer is a usage error.  So is a ``--metrics`` list that
 names no metric, an unknown one, or one twice.
@@ -144,6 +145,21 @@ def _status_mark(status: str) -> str:
     return "/" if status == "satisfied" else "x"
 
 
+def _write_witnesses(out_dir: Path, table) -> None:
+    """Each program of each witness as p<property>_<metric>_<role>.ml1 in out_dir."""
+    for metric, row in table.results.items():
+        for prop, result in row.items():
+            for role, value in (result.witness or {}).items():
+                if isinstance(value, str) and value.startswith(("void", "int")):
+                    safe_role = role.replace(";", "_").replace(" ", "")
+                    (out_dir / f"p{prop}_{metric}_{safe_role}.ml1").write_text(value)
+
+
+def _cannot_write_witnesses(directory: str, exc: OSError) -> int:
+    print(f"{directory}: cannot write witnesses: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_weyuker(args) -> int:
     from .weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
@@ -163,21 +179,18 @@ def cmd_weyuker(args) -> int:
         if metrics.count(metric) > 1:
             print(f"--metrics names {metric!r} more than once", file=sys.stderr)
             return 2
-    harness = WeyukerHarness(seed=seed, trials=args.trials, jobs=shards.MAX_JOBS)
-    table = harness.run_table(metrics)
-
-    if args.witness_dir:
-        out_dir = Path(args.witness_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for metric, row in table.results.items():
-            for prop, result in row.items():
-                if not result.witness:
-                    continue
-                for role, value in result.witness.items():
-                    if isinstance(value, str) and value.startswith(("void", "int")):
-                        safe_role = role.replace(";", "_").replace(" ", "")
-                        name = f"p{prop}_{metric}_{safe_role}.ml1"
-                        (out_dir / name).write_text(value)
+    out_dir = Path(args.witness_dir) if args.witness_dir else None
+    if out_dir:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write_witnesses(args.witness_dir, exc)
+    table = WeyukerHarness(seed=seed, trials=args.trials, jobs=shards.MAX_JOBS).run_table(metrics)
+    if out_dir:
+        try:
+            _write_witnesses(out_dir, table)
+        except OSError as exc:
+            return _cannot_write_witnesses(args.witness_dir, exc)
 
     if args.format == "json":
         payload = {

@@ -1,13 +1,16 @@
 """Weyuker property checks for the metric suite.
 
+One table (``_PROPERTIES``) gives each property its check, its audited
+candidate cases, its note and the note used when no candidate witnesses.
 Universal properties (2 nonnegativity, 5 composition monotonicity, 8
-renaming invariance) run over a seeded pool of generated programs; a single
-pool feeds every metric so large trial counts stay cheap.  Existential
-properties (1, 3, 4, 6a, 6b, 7, 9) are decided against a fixed suite of
-audited witness candidates; a metric satisfies the property when some
-candidate witnesses it, and every reported witness re-verifies from program
-text alone.  Property 2's finiteness clause is an argument about bounded
-program spaces, not a machine check, and is reported as such.
+renaming invariance) have no candidates: one loop runs their check on each
+trial of a seeded pool of generated programs, which feeds every metric, and
+stops at the first counterexample.  Existential properties (1, 3, 4, 6a, 6b,
+7, 9) are decided by one loop over their fixed candidates: the first witness
+satisfies the property, and "violated" means that no candidate witnesses it.
+Every reported witness re-verifies from program text alone.  Property 2's
+finiteness clause is an argument about bounded program spaces, not a machine
+check, and is reported as such.
 
 All candidate programs are evaluated in canonical rendered form so that
 line-based metrics compare rendered text with rendered text.  Whatever does
@@ -42,7 +45,7 @@ class PropertyResult:
     ):
         self.property_id = property_id
         self.metric = metric
-        self.status = status  # satisfied | violated | vacuous
+        self.status = status  # satisfied | violated
         self.trials = trials
         self.witness = witness
         self.note = note
@@ -54,13 +57,11 @@ class ConformanceTable:
         seed: int,
         trials: int,
         results: dict[str, dict[str, PropertyResult]],
-        expected: dict[str, dict[str, str]],
         matches: dict[str, bool | None],
     ):
         self.seed = seed
         self.trials = trials
         self.results = results  # metric -> property -> result
-        self.expected = expected
         self.matches = matches  # None = no documented expectation
 
 
@@ -215,10 +216,6 @@ EXPECTED_ROWS: dict[str, dict[str, str]] = {
 }
 
 
-def _canon(text: str) -> Rendered:
-    return render(parse_source(text))
-
-
 def _metric_values(analysis: Analysis) -> dict[str, float | int]:
     return {m: metric_value(analysis, m) for m in METRIC_IDS}
 
@@ -237,6 +234,101 @@ def _rename_mapping(rng: random.Random, unit: SourceUnit) -> dict[str, str]:
 
 def _ne(a: float, b: float) -> bool:
     return abs(a - b) > _FLOAT_TOL
+
+
+# ============================================================
+# PROPERTY CHECKS
+# ============================================================
+# A universal check takes a trial index and the pool, concat and rename
+# value lists, and returns a counterexample or None.  An existential check
+# takes one candidate case and returns a witness or None.
+
+
+def _negative(harness, metric, i, pool, _concat, _renamed) -> dict | None:
+    if pool[i][metric] < 0:
+        return {"P": harness._pool_text(i), "value_P": pool[i][metric]}
+    return None
+
+
+def _shrinks(harness, metric, i, pool, composed, _renamed) -> dict | None:
+    """|P| <= |P;Q| and |Q| <= |P;Q| fails for P = pool[i], Q = pool[i + 1]."""
+    j = (i + 1) % harness.trials
+    if composed[i][metric] < max(pool[i][metric], pool[j][metric]) - _FLOAT_TOL:
+        p, q = harness._pool_text(i), harness._pool_text(j)
+        return {
+            "P": p, "Q": q, "PQ": concat(p, q),
+            "value_P": pool[i][metric], "value_Q": pool[j][metric], "value_PQ": composed[i][metric],
+        }
+    return None
+
+
+def _renaming_changes(harness, metric, i, pool, _concat, renamed) -> dict | None:
+    if pool[i][metric] != renamed[i][metric]:
+        return {"P": harness._pool_text(i), "value_P": pool[i][metric], "value_renamed": renamed[i][metric]}
+    return None
+
+
+def _differ(harness, metric, before: str, after: str) -> dict | None:
+    (p, va), (q, vb) = harness._candidate(before), harness._candidate(after)
+    if _ne(va[metric], vb[metric]):
+        return {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
+    return None
+
+
+def _equal(harness, metric, before: str, after: str) -> dict | None:
+    (p, va), (q, vb) = harness._candidate(before), harness._candidate(after)
+    if not _ne(va[metric], vb[metric]):
+        return {"P": p, "Q": q, "value": va[metric]}
+    return None
+
+
+def _permutation_differs(harness, metric, before: str, after: str) -> dict | None:
+    return _differ(harness, metric, before, after) if harness._permutation(before, after) else None
+
+
+def _composition_differs(harness, metric, p: str, q: str, r: str, prepend: bool) -> dict | None:
+    """|P| = |Q| but |P;R| != |Q;R| (or, prepending, |R;P| != |R;Q|)."""
+    (canon_p, vp), (canon_q, vq) = harness._candidate(p), harness._candidate(q)
+    if _ne(vp[metric], vq[metric]):
+        return None
+    pr, vpr = harness._composition(r, p) if prepend else harness._composition(p, r)
+    qr, vqr = harness._composition(r, q) if prepend else harness._composition(q, r)
+    if not _ne(vpr[metric], vqr[metric]):
+        return None
+    key, key2 = ("R;P", "R;Q") if prepend else ("P;R", "Q;R")
+    return {
+        "P": canon_p, "Q": canon_q, "R": harness._candidate(r)[0], key: pr, key2: qr,
+        "value_P": vp[metric], "value_Q": vq[metric], f"value_{key}": vpr[metric], f"value_{key2}": vqr[metric],
+    }
+
+
+def _superadditive(harness, metric, p: str, q: str) -> dict | None:
+    (canon_p, vp), (canon_q, vq) = harness._candidate(p), harness._candidate(q)
+    pq, vpq = harness._composition(p, q)
+    if vpq[metric] > vp[metric] + vq[metric] + _FLOAT_TOL:
+        return {
+            "P": canon_p, "Q": canon_q, "PQ": pq,
+            "value_P": vp[metric], "value_Q": vq[metric], "value_PQ": vpq[metric],
+        }
+    return None
+
+
+_P4_NOTE = "pair computes 1+2+...+n by loop and by closed form; equivalence documented"
+_P6_NOTE = "no candidate composition witnesses"
+
+# property -> (check, candidate cases or None for every trial, note, note when no candidate witnesses)
+_PROPERTIES = {
+    "1": (_differ, ((_SMALL, _LARGE),), "", "candidate programs scored equal"),
+    "2": (_negative, None, "finiteness clause is not machine-checkable; nonnegativity checked", ""),
+    "3": (_equal, ((_PLUS, _MINUS),), "", "candidate programs scored differently"),
+    "4": (_differ, ((_SUM_LOOP, _SUM_FORMULA),), _P4_NOTE, _P4_NOTE),
+    "5": (_shrinks, None, "", ""),
+    "6a": (_composition_differs, tuple((_P6_P, _P6_Q, r, False) for r in (_P6_R_SEQ, _P6_R_LOOP)), "", _P6_NOTE),
+    "6b": (_composition_differs, tuple((_P6_P, _P6_Q, r, True) for r in (_P6_R_SEQ, _P6_R_LOOP)), "", _P6_NOTE),
+    "7": (_permutation_differs, _P7_PAIRS, "", "no candidate permutation witnesses"),
+    "8": (_renaming_changes, None, "", ""),
+    "9": (_superadditive, _P9_PAIRS, "", "no candidate composition exceeds the sum"),
+}
 
 
 class WeyukerHarness:
@@ -348,7 +440,7 @@ class WeyukerHarness:
 
     def _candidate(self, text: str) -> tuple[Rendered, dict[str, float | int]]:
         """An audited candidate's canonical text and values."""
-        return self._once(text, lambda: _scored(_canon(text)))
+        return self._once(text, lambda: _scored(render(parse_source(text))))
 
     def _composition(self, p: str, q: str) -> tuple[Rendered, dict[str, float | int]]:
         """P;Q of two candidates and its values."""
@@ -369,177 +461,30 @@ class WeyukerHarness:
         prop = str(property_id)
         if prop not in PROPERTY_IDS:
             raise KeyError(f"unknown property {property_id!r}")
-        return getattr(self, f"_check_p{prop}")(metric)
-
-    # -- P1: some two programs differ --
-
-    def _check_p1(self, metric: str) -> PropertyResult:
-        (p, va), (q, vb) = self._candidate(_SMALL), self._candidate(_LARGE)
-        if _ne(va[metric], vb[metric]):
-            witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
-            return PropertyResult("1", metric, "satisfied", 1, witness)
-        return PropertyResult("1", metric, "violated", 1, note="candidate programs scored equal")
-
-    # -- P2: nonnegativity over the pool; finiteness reported, not checked --
-
-    def _check_p2(self, metric: str) -> PropertyResult:
-        note = "finiteness clause is not machine-checkable; nonnegativity checked"
-        for i, values in enumerate(self.pool_values()):
-            if values[metric] < 0:
-                witness = {"P": self._pool_text(i), "value_P": values[metric]}
-                return PropertyResult("2", metric, "violated", i + 1, witness, note)
-        return PropertyResult("2", metric, "satisfied", self.trials, None, note)
-
-    # -- P3: distinct programs with equal value --
-
-    def _check_p3(self, metric: str) -> PropertyResult:
-        (p, va), (q, vb) = self._candidate(_PLUS), self._candidate(_MINUS)
-        if not _ne(va[metric], vb[metric]):
-            witness = {"P": p, "Q": q, "value": va[metric]}
-            return PropertyResult("3", metric, "satisfied", 1, witness)
-        return PropertyResult("3", metric, "violated", 1, note="candidate programs scored differently")
-
-    # -- P4: equivalent implementations with different value --
-
-    def _check_p4(self, metric: str) -> PropertyResult:
-        (p, va), (q, vb) = self._candidate(_SUM_LOOP), self._candidate(_SUM_FORMULA)
-        note = "pair computes 1+2+...+n by loop and by closed form; equivalence documented"
-        if _ne(va[metric], vb[metric]):
-            witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
-            return PropertyResult("4", metric, "satisfied", 1, witness, note)
-        return PropertyResult("4", metric, "violated", 1, note=note)
-
-    # -- P5: |P| <= |P;Q| and |Q| <= |P;Q| over the pool --
-
-    def _check_p5(self, metric: str) -> PropertyResult:
-        pool_values = self.pool_values()
-        concat_values = self.concat_values()
-        n = self.trials
-        for i in range(n):
-            j = (i + 1) % n
-            bound = max(pool_values[i][metric], pool_values[j][metric])
-            if concat_values[i][metric] < bound - _FLOAT_TOL:
-                p, q = self._pool_text(i), self._pool_text(j)
-                witness = {
-                    "P": p,
-                    "Q": q,
-                    "PQ": concat(p, q),
-                    "value_P": pool_values[i][metric],
-                    "value_Q": pool_values[j][metric],
-                    "value_PQ": concat_values[i][metric],
-                }
-                return PropertyResult("5", metric, "violated", i + 1, witness)
-        return PropertyResult("5", metric, "satisfied", n)
-
-    # -- P6a / P6b: composition can distinguish equal-valued programs --
-
-    def _p6(self, metric: str, prop: str, prepend: bool) -> PropertyResult:
-        candidates = ((_P6_P, _P6_Q, _P6_R_SEQ), (_P6_P, _P6_Q, _P6_R_LOOP))
-        for p, q, r in candidates:
-            (canon_p, vp), (canon_q, vq) = self._candidate(p), self._candidate(q)
-            if _ne(vp[metric], vq[metric]):
-                continue
-            pr, vpr = self._composition(r, p) if prepend else self._composition(p, r)
-            qr, vqr = self._composition(r, q) if prepend else self._composition(q, r)
-            if _ne(vpr[metric], vqr[metric]):
-                key = "R;P" if prepend else "P;R"
-                key2 = "R;Q" if prepend else "Q;R"
-                witness = {
-                    "P": canon_p,
-                    "Q": canon_q,
-                    "R": self._candidate(r)[0],
-                    key: pr,
-                    key2: qr,
-                    "value_P": vp[metric],
-                    "value_Q": vq[metric],
-                    f"value_{key}": vpr[metric],
-                    f"value_{key2}": vqr[metric],
-                }
-                return PropertyResult(prop, metric, "satisfied", 1, witness)
-        return PropertyResult(
-            prop, metric, "violated", len(candidates), note="no candidate composition witnesses"
-        )
-
-    def _check_p6a(self, metric: str) -> PropertyResult:
-        return self._p6(metric, "6a", prepend=False)
-
-    def _check_p6b(self, metric: str) -> PropertyResult:
-        return self._p6(metric, "6b", prepend=True)
-
-    # -- P7: some statement permutation changes the value --
-
-    def _check_p7(self, metric: str) -> PropertyResult:
-        for before, after in _P7_PAIRS:
-            if not self._permutation(before, after):
-                continue
-            (p, va), (q, vb) = self._candidate(before), self._candidate(after)
-            if _ne(va[metric], vb[metric]):
-                witness = {"P": p, "Q": q, "value_P": va[metric], "value_Q": vb[metric]}
-                return PropertyResult("7", metric, "satisfied", 1, witness)
-        return PropertyResult(
-            "7", metric, "violated", len(_P7_PAIRS), note="no candidate permutation witnesses"
-        )
-
-    # -- P8: renaming never changes the value --
-
-    def _check_p8(self, metric: str) -> PropertyResult:
-        pool_values = self.pool_values()
-        renamed = self.rename_values()
-        for i, (orig, ren) in enumerate(zip(pool_values, renamed)):
-            if orig[metric] != ren[metric]:
-                witness = {
-                    "P": self._pool_text(i),
-                    "value_P": orig[metric],
-                    "value_renamed": ren[metric],
-                }
-                return PropertyResult("8", metric, "violated", i + 1, witness)
-        return PropertyResult("8", metric, "satisfied", len(pool_values))
-
-    # -- P9: composition can exceed the sum of the parts --
-
-    def _check_p9(self, metric: str) -> PropertyResult:
-        for p, q in _P9_PAIRS:
-            (canon_p, vp), (canon_q, vq) = self._candidate(p), self._candidate(q)
-            pq, vpq = self._composition(p, q)
-            if vpq[metric] > vp[metric] + vq[metric] + _FLOAT_TOL:
-                witness = {
-                    "P": canon_p,
-                    "Q": canon_q,
-                    "PQ": pq,
-                    "value_P": vp[metric],
-                    "value_Q": vq[metric],
-                    "value_PQ": vpq[metric],
-                }
-                return PropertyResult("9", metric, "satisfied", 1, witness)
-        return PropertyResult(
-            "9", metric, "violated", len(_P9_PAIRS), note="no candidate composition exceeds the sum"
-        )
+        check, cases, note, no_witness = _PROPERTIES[prop]
+        if cases is None:  # universal: violated at the first counterexample
+            lists = self.pool_values(), self.concat_values(), self.rename_values()
+            for i in range(self.trials):
+                if (counterexample := check(self, metric, i, *lists)) is not None:
+                    return PropertyResult(prop, metric, "violated", i + 1, counterexample, note)
+            return PropertyResult(prop, metric, "satisfied", self.trials, None, note)
+        for case in cases:  # existential: satisfied at the first witness
+            if (witness := check(self, metric, *case)) is not None:
+                return PropertyResult(prop, metric, "satisfied", 1, witness, note)
+        return PropertyResult(prop, metric, "violated", len(cases), None, no_witness)
 
     # ---------- the table ----------
 
     def run_table(self, metrics: list[str]) -> ConformanceTable:
         results: dict[str, dict[str, PropertyResult]] = {}
+        matches: dict[str, bool | None] = {}  # None = no documented expectation
         for metric in metrics:
-            row: dict[str, PropertyResult] = {}
-            for prop in PROPERTY_IDS:
-                row[prop] = self.check_property(prop, metric)
-            results[metric] = row
-        matches: dict[str, bool | None] = {}
-        for metric in metrics:
+            row = results[metric] = {prop: self.check_property(prop, metric) for prop in PROPERTY_IDS}
             expected = EXPECTED_ROWS.get(metric)
-            if expected is None:
-                matches[metric] = None
-                continue
-            matches[metric] = all(
-                results[metric][prop].status == expected[prop] for prop in PROPERTY_IDS
+            matches[metric] = None if expected is None else all(
+                row[prop].status == expected[prop] for prop in PROPERTY_IDS
             )
-        return ConformanceTable(
-            seed=self.seed,
-            trials=self.trials,
-            results=results,
-            expected={m: dict(EXPECTED_ROWS[m]) for m in metrics if m in EXPECTED_ROWS},
-            matches=matches,
-        )
+        return ConformanceTable(seed=self.seed, trials=self.trials, results=results, matches=matches)
 
 
 def _is_permutation_pair(before: str | SourceUnit, after: str | SourceUnit) -> bool:

@@ -399,6 +399,18 @@ def test_weyuker_writes_witness_files(tmp_path, capsys):
         parse_source(path.read_text())  # every witness re-parses
 
 
+def test_weyuker_witness_dir_that_cannot_be_made_exits_two(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    args = ["weyuker", "--trials", "5", "--metrics", "escim", "--witness-dir", str(afile)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith(f"{afile}: cannot write witnesses: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_weyuker_json_format(capsys):
     code, out, _ = run_cli(
         ["weyuker", "--seed", "1", "--trials", "20", "--metrics", "escim", "--format", "json"],
@@ -473,6 +485,11 @@ ANALYZE_JSON_SHA256 = {
     "p4_loop.ml1": "05ed0e51e722d58e712fdf563f6f9789de08aa446969843be17a348eb55241da",
 }
 WEYUKER_200_SHA256 = "aa8cbb01102b4f7a8b7ae1a948de0409a97ba56389687d842ec658889cfcf3b9"
+# `weyuker --seed 1 --trials 200` with the default seven metrics, per format.
+WEYUKER_DEFAULT_200_SHA256 = {
+    "json": "dfa885d2c769923a300e29fb96fdae3266976b0beae3d307c934c78c5f00311a",
+    "text": "a1be9db16c111ae24ebcc00da866fdeac7cdf1a2f0e18382d3c7ecef30ccf8d5",
+}
 # The text and corpus reports, run from the repository root.
 REPORT_SHA256 = {
     "analyze tests/fixtures/eg3.ml1 --granules": "6bcb81de22abaa1422c9fc8a683227fba0189ef2eb113ed5744643bc73a9eacf",
@@ -504,6 +521,12 @@ def test_weyuker_json_bytes_are_pinned(capsys):
     args = ["weyuker", "--seed", "1", "--trials", "200",
             "--metrics", "escim,loc,mccm,cpcm", "--format", "json"]
     assert _stdout_sha256(args, capsys) == WEYUKER_200_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(WEYUKER_DEFAULT_200_SHA256))
+def test_weyuker_default_metric_bytes_are_pinned(fmt, capsys):
+    args = ["weyuker", "--seed", "1", "--trials", "200", "--format", fmt]
+    assert _stdout_sha256(args, capsys) == WEYUKER_DEFAULT_200_SHA256[fmt]
 
 
 # ---------- installed entry point ----------

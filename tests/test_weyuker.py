@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from cogscope.analysis import METRIC_IDS, analyze_source, metric_value
+from cogscope.transforms import concat
 from cogscope.weyuker import EXPECTED_ROWS, PROPERTY_IDS, WeyukerHarness
 
 
@@ -50,6 +51,23 @@ def test_property_5_monotone_for_escim(harness):
     result = harness.check_property("5", "escim")
     assert result.status == "satisfied"
     assert result.trials == 200
+
+
+def test_a_universal_property_is_violated_at_its_first_counterexample():
+    harness = WeyukerHarness(seed=1, trials=6)
+    pool, composed, renamed = harness.pool_values(), harness.concat_values(), harness.rename_values()
+    pool[3]["loc"] = -1
+    composed[4]["loc"] = -5  # below both P = pool[4] and Q = pool[5]
+    renamed[2]["loc"] += 1
+    for prop, trials, roles in (
+        ("2", 4, ["P", "value_P"]),
+        ("5", 5, ["P", "PQ", "Q", "value_P", "value_PQ", "value_Q"]),
+        ("8", 3, ["P", "value_P", "value_renamed"]),
+    ):
+        result = harness.check_property(prop, "loc")
+        assert (result.status, result.trials, sorted(result.witness)) == ("violated", trials, roles)
+    assert harness.check_property("5", "loc").witness["PQ"] == concat(harness.pool()[4], harness.pool()[5])
+    assert harness.check_property("8", "loc").witness["P"] == harness.pool()[2]
 
 
 def test_property_6a_witness_reverifies(harness):
