@@ -65,11 +65,13 @@ class LexError(MiniLangError):
 
 
 class ParseError(MiniLangError):
-    """Syntax error, duplicate declaration, or missing main."""
+    """Syntax error, nesting too deep, a bad function name, or not one main."""
 
 
 class ResolveError(MiniLangError):
-    """Unresolved name or global qualifier without a global declaration."""
+    """A reserved, duplicate or unresolved variable name (`::name` too), a call
+    of an undefined function, print in an expression, or an assignment to a
+    non-variable."""
 
 
 class UndefinedEfficiencyError(ValueError):

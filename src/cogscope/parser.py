@@ -12,9 +12,11 @@ Grammar highlights (full grammar in docs/grammar.md):
 
 Bodies of if/while/for may be a single statement; the parser normalizes
 them to one-statement blocks, so every Block introduces exactly one scope.
-Duplicate declarations in one scope, string literals outside print
-arguments, and a missing main are rejected at parse time; the checks on
-names, scopes, nesting and main are `Checks`, which the renderer makes too.
+String literals outside print arguments, reserved or duplicate function
+names, nesting deeper than MAX_NESTING and a missing main are rejected at
+parse time; the checks on function names, nesting and main are `Checks`,
+which the renderer makes too.  Variable names are the resolver's to check
+(resolve.py), in its one scope stack.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ END = "end of input"
 
 
 class Checks:
-    """The checks a program passes beyond the grammar: no reserved or
-    duplicate names, nesting at most MAX_NESTING levels deep, one main.
+    """The checks a program passes beyond the grammar that need no scope:
+    no reserved or duplicate function names, nesting at most MAX_NESTING
+    levels deep, one main.
 
     The parser makes them as it reads a program.  The renderer makes them as
     it writes a tree out (render.py), so a tree whose text the parser would
@@ -97,7 +100,6 @@ class Checks:
     """
 
     def __init__(self):
-        self.scopes: list[set[str]] = []  # the names declared per open scope, innermost last
         self.functions: set[str] = set()  # the functions defined so far
         self.depth = 0  # open nesting levels; whoever opens one closes it with `self.depth -= 1`
 
@@ -106,14 +108,6 @@ class Checks:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", span)
-
-    def declare(self, name: str, span: Span) -> None:
-        """Declare `name` in the innermost scope."""
-        if name in BUILTINS:
-            raise ParseError(f"cannot declare reserved builtin name {name!r}", span)
-        if name in self.scopes[-1]:
-            raise ParseError(f"duplicate declaration of {name!r} in the same scope", span)
-        self.scopes[-1].add(name)
 
     def define(self, name: str, span: Span) -> None:
         """Define a function named `name`."""
@@ -183,7 +177,6 @@ class _Parser(Checks):
     def parse_unit(self) -> SourceUnit:
         functions: list[FunctionDef] = []
         globals_: list[Decl] = []
-        self.scopes.append(set())  # global scope
         while self._lookahead[self.pos] is not self.end:
             tok = self._lookahead[self.pos]
             if tok.text in ("void", "int") and self._is_function_header():
@@ -194,7 +187,6 @@ class _Parser(Checks):
                 raise ParseError(
                     f"expected declaration or function, found {tok.text!r}", tok.span
                 )
-        self.scopes.pop()
         self.one_main(functions)
         return SourceUnit(functions=functions, globals=globals_)
 
@@ -211,7 +203,6 @@ class _Parser(Checks):
         self.define(name_tok.text, name_tok.span)
         self.expect("(")
         params: list[Param] = []
-        self.scopes.append(set())  # function scope (params + top-level block)
         while not self.at(")"):
             if params:
                 self.expect(",")
@@ -222,11 +213,9 @@ class _Parser(Checks):
                 self.advance()
                 self.expect("]")
                 is_array = True
-            self.declare(pname.text, pname.span)
             params.append(Param(pname.text, pname.span, is_array))
         self.expect(")")
-        body = self.parse_block(new_scope=False)
-        self.scopes.pop()
+        body = self.parse_block()
         return FunctionDef(
             name=name_tok.text,
             params=params,
@@ -237,16 +226,12 @@ class _Parser(Checks):
 
     # ---------- statements ----------
 
-    def parse_block(self, new_scope: bool = True) -> Block:
+    def parse_block(self) -> Block:
         open_brace = self.expect("{")
         self.nest(open_brace.span)
-        if new_scope:
-            self.scopes.append(set())
         stmts: list[Stmt] = []
         while not self.at("}"):
             stmts.append(self.parse_stmt())
-        if new_scope:
-            self.scopes.pop()
         self.expect("}")
         self.depth -= 1
         return Block(self.span_from(open_brace.span), stmts)
@@ -256,9 +241,7 @@ class _Parser(Checks):
         if self.at("{"):
             return self.parse_block()
         self.nest(self.tokens[self.pos - 1].span)  # the ')' or 'else' before the body
-        self.scopes.append(set())
         stmt = self.parse_stmt()
-        self.scopes.pop()
         self.depth -= 1
         return Block(span=stmt.span, stmts=[stmt])
 
@@ -319,7 +302,6 @@ class _Parser(Checks):
                     init = self.parse_array_init()
                 else:
                     init = self.parse_expr()
-            self.declare(name_tok.text, name_tok.span)
             declarators.append(Declarator(name_tok.text, name_tok.span, is_array, init))
             if self.at(","):
                 self.advance()
@@ -472,8 +454,6 @@ class _Parser(Checks):
     def parse_for(self) -> For:
         start = self.expect("for").span
         self.expect("(")
-        # The for header opens a scope covering the whole loop.
-        self.scopes.append(set())
         init: Stmt | None = None
         if not self.at(";"):
             if self.at("int"):
@@ -499,7 +479,6 @@ class _Parser(Checks):
             step = stmt
         self.expect(")")
         body = self.parse_body()
-        self.scopes.pop()
         return For(span=self.span_from(start), init=init, cond=cond, step=step, body=body)
 
     def parse_while(self) -> While:

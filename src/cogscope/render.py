@@ -12,7 +12,10 @@ that a transform builds is scored without being lexed and parsed again
 (analysis.analyze_rendered).  The layout makes the parser's own checks
 (parser.Checks) on the way; a tree the parser would reject from its text,
 or would read back as a different tree, gets no layout, and its tokens and
-tree come from lexing and parsing the text when first read.
+tree come from lexing and parsing the text when first read.  Variable names
+are not the parser's to check: a tree with a variable named twice in one
+scope, or named as a builtin, is laid out, and resolving the layout raises
+the resolver's error, as resolving the parse of its text does.
 """
 
 from __future__ import annotations
@@ -135,7 +138,6 @@ class _Layout(Checks):
     # ---------- top level ----------
 
     def source_unit(self, unit: SourceUnit) -> SourceUnit:
-        self.scopes.append(set())  # global scope
         globals_ = []
         for decl in unit.globals:
             if globals_:
@@ -147,7 +149,6 @@ class _Layout(Checks):
                 self.newline(0, blank=True)
             functions.append(self.function(fn))
         self._write("\n")
-        self.scopes.pop()
         self.one_main(functions)
         return SourceUnit(functions, globals_)
 
@@ -157,7 +158,6 @@ class _Layout(Checks):
         start = self.tok(KEYWORD, fn.ret_type)
         self.define(fn.name, self.name(fn.name, " "))
         self.tok(PUNCT, "(")
-        self.scopes.append(set())  # function scope: parameters and the body's top level
         params = []
         for param in fn.params:
             if params:
@@ -167,24 +167,18 @@ class _Layout(Checks):
             if param.is_array:
                 self.tok(PUNCT, "[")
                 self.tok(PUNCT, "]")
-            self.declare(param.name, span)
             params.append(Param(param.name, span, param.is_array))
         self.tok(PUNCT, ")")
-        body = self.block(fn.body.stmts, 0, new_scope=False)
-        self.scopes.pop()
+        body = self.block(fn.body.stmts, 0)
         return FunctionDef(fn.name, params, body, self.span_from(start), fn.ret_type)
 
     # ---------- statements ----------
 
-    def block(self, stmts: list[Stmt], depth: int, space: str = " ", new_scope: bool = True) -> Block:
+    def block(self, stmts: list[Stmt], depth: int, space: str = " ") -> Block:
         """`{`, then each statement on its own line one level deeper, then `}`."""
         open_brace = self.tok(PUNCT, "{", space)
         self.nest(open_brace)
-        if new_scope:
-            self.scopes.append(set())
         copies = [self.stmt(stmt, depth + 1) for stmt in stmts]
-        if new_scope:
-            self.scopes.pop()
         self.newline(depth)
         self.tok(PUNCT, "}")
         self.depth -= 1
@@ -272,7 +266,6 @@ class _Layout(Checks):
                     init = self.array_init(d.init, " ", True)
                 else:
                     init = self.expr(d.init, " ", True)
-            self.declare(d.name, span)
             copies.append(Declarator(d.name, span, d.is_array, init))
         self.tok(PUNCT, ";", "" if copies else " ")
         return Decl(self.span_from(start), copies)
@@ -299,7 +292,6 @@ class _Layout(Checks):
     def for_loop(self, stmt: For, depth: int) -> For:
         start = self.tok(KEYWORD, "for")
         self.tok(PUNCT, "(", " ")
-        self.scopes.append(set())  # the header's scope covers the whole loop
         init = None
         if stmt.init.__class__ is Decl:
             init = self.decl(stmt.init)  # through its ';'
@@ -318,7 +310,6 @@ class _Layout(Checks):
             step.span = self.span_from(step.span)
         self.tok(PUNCT, ")", "" if step is not None else " ")
         body = self.block(stmt.body.stmts, depth)
-        self.scopes.pop()
         return For(self.span_from(start), init, cond, step, body)
 
     def switch(self, stmt: Switch, depth: int) -> Switch:
@@ -473,9 +464,6 @@ class _Text(_Layout):
         pass
 
     def nest(self, span: Span) -> None:
-        pass
-
-    def declare(self, name: str, span: Span) -> None:
         pass
 
     def define(self, name: str, span: Span) -> None:

@@ -3,7 +3,10 @@
 Resolves every identifier to a declaration-site symbol under lexical
 scoping with shadowing; the symbol is kept only on the identifier's
 occurrence.  `::name` reaches the global declaration regardless of
-shadowing.  All variable occurrences come out in a single flat list in
+shadowing.  This scope stack is the program's only one: every
+variable-name error is a ResolveError raised here, in evaluation order, a
+duplicate or reserved name where it is declared and an unresolved one where
+it is used.  All variable occurrences come out in a single flat list in
 evaluation order, which is the order the counting engines replay:
 
   * block statements in source order,
@@ -207,10 +210,15 @@ class _Resolver:
     def pop(self) -> None:
         self.scopes.pop()
 
-    def declare(self, name: str, kind: str) -> Symbol:
-        sym = Symbol(self.uid, name, kind)
+    def declare(self, name: str, kind: str, span: Span) -> Symbol:
+        """Declare `name`, written at `span`, in the innermost scope."""
+        if name in BUILTINS:
+            raise ResolveError(f"cannot declare reserved builtin name {name!r}", span)
+        scope = self.scopes[-1]
+        if name in scope:
+            raise ResolveError(f"duplicate declaration of {name!r} in the same scope", span)
+        sym = scope[name] = Symbol(self.uid, name, kind)
         self.uid += 1
-        self.scopes[-1][name] = sym
         return sym
 
     def lookup(self, ident: Ident) -> Symbol:
@@ -289,9 +297,7 @@ class _Resolver:
         caller = self.current_function
         if caller is not None:
             self.call_edges.add((caller, callee))
-        stmt = self.current_stmt
-        if stmt is not None:
-            self.stmt_user_callees.setdefault(id(stmt), []).append(callee)
+        self.stmt_user_callees.setdefault(id(self.current_stmt), []).append(callee)
 
     # ---------- statements ----------
 
@@ -368,7 +374,7 @@ class _Resolver:
         for d in stmt.declarators:
             ops, has_read = self.walk_reads(d.init)
             kind = DECLARE if d.init is None else DECLARE_INIT
-            self.emit(self.declare(d.name, sym_kind), d.name_span, kind, ops, rhs_has_read=has_read)
+            self.emit(self.declare(d.name, sym_kind, d.name_span), d.name_span, kind, ops, rhs_has_read=has_read)
 
     def walk_assign(self, stmt: Assign) -> None:
         ops, has_read = self.walk_reads(stmt.value)
@@ -394,9 +400,7 @@ class _Resolver:
     def run(self) -> ResolvedUnit:
         self.push()  # global scope
         for decl in self.unit.globals:
-            self.current_stmt = decl
-            self.walk_decl(decl)
-            self.current_stmt = None
+            self.walk_stmt(decl)
         runs: dict[str, range] = {}
         for fn in self.unit.functions:
             start = len(self.occurrences)
@@ -404,7 +408,7 @@ class _Resolver:
             self.push()  # function scope
             self.current_stmt = fn
             for param in fn.params:
-                self.emit(self.declare(param.name, "parameter"), param.span, DECLARE)
+                self.emit(self.declare(param.name, "parameter", param.span), param.span, DECLARE)
             self.current_stmt = None
             for stmt in fn.body.stmts:
                 self.walk_stmt(stmt)

@@ -148,6 +148,32 @@ def test_truncated_program_is_a_located_parse_error(case, tmp_path, capsys):
     assert (code, out, err) == (1, "", f"{path}:{message}\n")
 
 
+# Programs whose one error is a variable name, and the line that names it.
+NAME_ERRORS = {
+    "duplicate local": ("void main() {\n    int a;\n    int a;\n}\n",
+                        "3:9: duplicate declaration of 'a' in the same scope"),
+    "duplicate parameter": ("void f(int x, int x) {\n}\nvoid main() {\n}\n",
+                            "1:19: duplicate declaration of 'x' in the same scope"),
+    "declared builtin": ("void main() {\n  int print;\n}\n",
+                         "2:7: cannot declare reserved builtin name 'print'"),
+    "duplicate global": ("int g;\nint g;\nvoid main() {\n}\n",
+                         "2:5: duplicate declaration of 'g' in the same scope"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_ERRORS))
+def test_a_variable_name_error_is_one_located_line(case, tmp_path, capsys):
+    source, message = NAME_ERRORS[case]
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "one").mkdir()
+    path = tmp_path / "one" / "names.ml1"
+    path.write_text(source)
+    assert run_cli(["analyze", str(path)], capsys) == (1, "", f"{path}:{message}\n")
+    for fmt in ([], ["--csv"]):
+        _, no_rows, _ = run_cli(["corpus", str(tmp_path / "empty"), *fmt], capsys)
+        assert run_cli(["corpus", str(path.parent), *fmt], capsys) == (1, no_rows, f"{path}:{message}\n")
+
+
 def test_analyze_metric_filter(fixtures_dir, capsys):
     code, out, _ = run_cli(
         ["analyze", str(fixtures_dir / "eg1.ml1"), "--format", "json", "--metric", "escim"],

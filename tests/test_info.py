@@ -217,10 +217,25 @@ void main() {
 }
 """
 
+# The forms FULL_LANGUAGE and the generator leave out: `else if` chains and
+# single-statement bodies, `for (;;)`, a `for` with an assignment for
+# initializer and one whose header shadows a name, uninitialized and
+# multi-declarator declarations, a switch with no default and a negative
+# case, a call in a global initializer, mutual recursion and `return;`.
+TERSE_FORMS = """\
+int limit = start(2), unused;
+int start(int n) { if (n > 0) return odd(n - 1); return n; }
+int odd(int n) { if (n == 0) return 0; else if (n == 1) return 1; else if (n < 0) { n = -n; } else n = start(n - 1); return n; }
+void main() { int a, b = 2, c[]; int i; for (i = 0; i < limit; i += 1) a = i; for (;;) { a--; if (a < 0) return; }
+    for (int i = 0; ; i++) { int b = i; while (b > 0) b = b - ::limit; }
+    switch (a) { case -1: { a = 1; } case 7: { } } do { a++; } while (a < 3); print(a, b, "done"); }
+"""
+
 
 def test_oracle_agreement_spot_checks(fixture_text):
     sources = {n: fixture_text(n) for n in ("eg1.ml1", "eg2.ml1", "eg3.ml1", "p4_loop.ml1")}
     sources["full language"] = FULL_LANGUAGE
+    sources["terse forms"] = TERSE_FORMS
     for name, source in sources.items():
         resolved, ann = _annotated(source)
         oracle_unit = parse_source(source)

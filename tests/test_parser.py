@@ -35,19 +35,9 @@ def test_empty_source_rejected():
         parse_source("")
 
 
-def test_duplicate_declaration_in_scope_rejected():
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_source("void main(){int a; int a;}")
-
-
 def test_shadowing_in_inner_scope_allowed():
     unit = parse_source("void main(){int a; {int a; a=1;} a=2;}")
     assert unit is not None
-
-
-def test_duplicate_parameter_rejected():
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_source("void f(int a, int a){} void main(){}")
 
 
 def test_string_literal_outside_print_rejected():
@@ -58,11 +48,6 @@ def test_string_literal_outside_print_rejected():
 def test_string_in_user_call_rejected():
     with pytest.raises(ParseError, match="print"):
         parse_source('int f(int x){return x;} void main(){f("no");}')
-
-
-def test_builtin_name_cannot_be_declared():
-    with pytest.raises(ParseError, match="reserved"):
-        parse_source("void main(){int print;}")
 
 
 def test_nesting_shape():

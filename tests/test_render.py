@@ -4,7 +4,7 @@ import random
 
 import pytest
 from _checks import same_structure
-from test_info import FULL_LANGUAGE
+from test_info import FULL_LANGUAGE, TERSE_FORMS
 
 from cogscope.analysis import analyze_rendered, analyze_source
 from cogscope.errors import DUMMY_SPAN, MiniLangError
@@ -94,12 +94,13 @@ def _assert_laid_out(rendered, label) -> None:
 
 
 def _layout_programs():
-    """The fixtures, the full language, and generated programs."""
+    """The fixtures, the two full-language programs, and generated programs."""
     from conftest import FIXTURES
 
     for path in sorted(FIXTURES.glob("*.ml1")):
         yield path.name, path.read_text()
     yield "full language", FULL_LANGUAGE
+    yield "terse forms", TERSE_FORMS
     rng = random.Random(11)
     for index in range(2000):
         config = GeneratorConfig(
@@ -113,7 +114,7 @@ def _layout_programs():
 
 def test_layout_equals_the_parse_of_the_text():
     programs = [(label, parse_source(text)) for label, text in _layout_programs()]
-    assert len(programs) == 2009
+    assert len(programs) == 2010
     rng = random.Random(12)
     for k, (label, unit) in enumerate(programs):
         _assert_laid_out(render(unit), label)
@@ -150,15 +151,6 @@ def _sum(terms: int) -> str:
 # check the parser makes on a well-formed program, and a few whose text it
 # would read back as another tree or not at all.
 INVALID_TREES = {
-    "duplicate declaration": lambda: _tree(
-        "void main() {\n    int a;\n    int b;\n}\n",
-        lambda u: _set(_main_stmts(u)[1].declarators[0], name="a")),
-    "duplicate parameter": lambda: _tree(
-        "void f(int x, int y) {\n}\n\nvoid main() {\n}\n",
-        lambda u: _set(u.function("f").params[1], name="x")),
-    "declared builtin": lambda: _tree(
-        "void main() {\n    int a;\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0], name="read")),
     "defined builtin": lambda: _tree(
         "void f() {\n}\n\nvoid main() {\n}\n",
         lambda u: _set(u.functions[0], name="print")),
@@ -199,10 +191,8 @@ def _nested_blocks(depth: int) -> Block:
     return block
 
 
-@pytest.mark.parametrize("case", sorted(INVALID_TREES))
-def test_a_rejected_tree_raises_the_parsers_error(case):
-    rendered = render(INVALID_TREES[case]())
-    assert not _laid_out(rendered)
+def _assert_same_error(rendered) -> None:
+    """Analyzing the layout fails as analyzing the text does."""
     with pytest.raises(MiniLangError) as from_text:
         analyze_source(str(rendered))
     with pytest.raises(MiniLangError) as from_layout:
@@ -210,6 +200,35 @@ def test_a_rejected_tree_raises_the_parsers_error(case):
     assert type(from_layout.value) is type(from_text.value)
     assert from_layout.value.render() == from_text.value.render()
     assert from_layout.value.span == from_text.value.span
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_TREES))
+def test_a_rejected_tree_raises_the_parsers_error(case):
+    rendered = render(INVALID_TREES[case]())
+    assert not _laid_out(rendered)
+    _assert_same_error(rendered)
+
+
+# Trees whose one error is a variable name, which the resolver rejects: the
+# parser takes their text, so they are laid out.
+NAME_ERROR_TREES = {
+    "duplicate declaration": lambda: _tree(
+        "void main() {\n    int a;\n    int b;\n}\n",
+        lambda u: _set(_main_stmts(u)[1].declarators[0], name="a")),
+    "duplicate parameter": lambda: _tree(
+        "void f(int x, int y) {\n}\n\nvoid main() {\n}\n",
+        lambda u: _set(u.function("f").params[1], name="x")),
+    "declared builtin": lambda: _tree(
+        "void main() {\n    int a;\n}\n",
+        lambda u: _set(_main_stmts(u)[0].declarators[0], name="read")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_ERROR_TREES))
+def test_a_tree_the_resolver_rejects_is_laid_out_and_raises_its_error(case):
+    rendered = render(NAME_ERROR_TREES[case]())
+    assert _laid_out(rendered)
+    _assert_same_error(rendered)
 
 
 # Trees the parser takes from their text, but where the tree is not what

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from _replay import oracle_escim, replay
-from test_info import FULL_LANGUAGE
+from test_info import FULL_LANGUAGE, TERSE_FORMS
 
 from cogscope.analysis import analyze_source
 from cogscope.cli import main
@@ -76,6 +76,31 @@ def test_global_qualifier_without_global_is_an_error():
 def test_call_to_undefined_function_is_an_error():
     with pytest.raises(ResolveError, match="undefined function"):
         _resolved("void main(){nothere(1);}")
+
+
+# A variable name is checked where the resolver declares it: the parser
+# takes these programs, and resolving them raises.
+
+
+def test_duplicate_declaration_in_scope_rejected():
+    source = "void main(){int a; int a;}"
+    assert parse_source(source).function("main")
+    with pytest.raises(ResolveError, match="duplicate"):
+        resolve(parse_source(source))
+
+
+def test_duplicate_parameter_rejected():
+    source = "void f(int a, int a){} void main(){}"
+    assert parse_source(source).function("f")
+    with pytest.raises(ResolveError, match="duplicate"):
+        resolve(parse_source(source))
+
+
+def test_builtin_name_cannot_be_declared():
+    source = "void main(){int print;}"
+    assert parse_source(source).function("main")
+    with pytest.raises(ResolveError, match="reserved"):
+        resolve(parse_source(source))
 
 
 def test_call_graph_edges():
@@ -249,11 +274,12 @@ def test_call_components_are_mutual_reachability():
 
 
 def _run_programs(fixtures_dir):
-    """The fixtures, the full language, and 500 generated programs with
-    parameters and globals."""
+    """The fixtures, the two full-language programs, and 500 generated
+    programs with parameters and globals."""
     for path in sorted(fixtures_dir.glob("*.ml1")):
         yield path.name, path.read_text()
     yield "full language", FULL_LANGUAGE
+    yield "terse forms", TERSE_FORMS
     found = 0
     for seed in range(10_000):
         source = generate(GeneratorConfig(seed=seed + 91_000, max_statements=8))
