@@ -91,10 +91,6 @@ class Token(Record):
         self.text = text
         self.span = span
 
-    @property
-    def line(self) -> int:
-        return self.span.line
-
 
 def tokenize(source: str) -> list[Token]:
     """Lex MiniLang source into a token list.

@@ -134,7 +134,7 @@ class _Parser(Checks):
         # Lookahead is read as self._lookahead[self.pos + k], k <= 2.  Past
         # the last token every read finds the one END token, whose text
         # names it in messages and whose span is the end of the input.
-        last_line = tokens[-1].line if tokens else 1
+        last_line = tokens[-1].span.line if tokens else 1
         self.end = Token(END, "end of input", Span(source_len, source_len, last_line, 1))
         self._lookahead = [*tokens, self.end, self.end, self.end]
         self.pos = 0

@@ -14,6 +14,14 @@ evaluation order, which is the order the counting engines replay:
   * do-while bodies before their condition,
   * declarators left to right, initializers before the name they introduce.
 
+Each occurrence is anchored to the statement the walk passes down with it,
+a parameter to its function; a nested statement anchors its own.  A `for`
+statement is walked by hand, since its header is a scope and its init and
+step are statements.  Every other control statement has its parts read in
+`_children` order, which is evaluation order: a block as a scope, a
+switch's cases as their blocks, any other part as an expression of the
+statement.
+
 Global declarations come first, then each function's parameters and body,
 so a function's occurrences are one contiguous run of that list
 (`ResolvedUnit.runs`), its parameters first: what routing, region totals
@@ -189,6 +197,9 @@ def call_components(functions: Iterable[str], edges: Iterable[tuple[str, str]]) 
 # RESOLVER
 # ============================================================
 
+# The control statements whose parts walk_stmt reads in `_children` order.
+_CONTROL = frozenset({If, Switch, While, DoWhile, Parallel, Interrupt})
+
 
 class _Resolver:
     def __init__(self, unit: SourceUnit):
@@ -200,7 +211,6 @@ class _Resolver:
         self.uid = 0
         self.function_names = {f.name for f in unit.functions}
         self.current_function: str | None = None
-        self.current_stmt: Stmt | None = None
 
     # ---------- scopes ----------
 
@@ -242,12 +252,13 @@ class _Resolver:
         symbol: Symbol,
         span: Span,
         kind: str,
+        anchor: Stmt | FunctionDef,
         ops_delta: int = 0,
         in_print_arg: bool = False,
         in_return: bool = False,
         rhs_has_read: bool = False,
     ) -> None:
-        """Append one occurrence, anchored to the current statement."""
+        """Append one occurrence, anchored to the statement `anchor`."""
         # Positional arguments, in field order: the hottest constructor of resolve().
         self.occurrences.append(
             Occurrence(
@@ -255,7 +266,7 @@ class _Resolver:
                 symbol.name,
                 kind,
                 span,
-                id(self.current_stmt),
+                id(anchor),
                 ops_delta,
                 in_print_arg,
                 in_return,
@@ -266,9 +277,9 @@ class _Resolver:
     # ---------- expressions (reads) ----------
 
     def walk_reads(
-        self, expr: Expr | None, in_print_arg: bool = False, in_return: bool = False
+        self, expr: Expr | None, anchor: Stmt, in_print_arg: bool = False, in_return: bool = False
     ) -> tuple[int, bool]:
-        """Emit the reads of one expression in evaluation order.
+        """Emit the reads of one expression of the statement `anchor`, in evaluation order.
 
         Returns the expression's operator count and whether it calls read().
         """
@@ -279,17 +290,17 @@ class _Resolver:
         for node in walk(expr):
             cls = node.__class__
             if cls is Ident:
-                self.emit(self.lookup(node), node.span, READ, 0, in_print_arg, in_return)
+                self.emit(self.lookup(node), node.span, READ, anchor, 0, in_print_arg, in_return)
             elif cls is Binary or cls is Unary:
                 ops += 1
             elif cls is CallExpr:
-                self.record_call(node.callee, node.span)
+                self.record_call(node.callee, node.span, anchor)
                 if node.callee == "print":
                     raise ResolveError("print cannot be used in an expression", node.span)
                 has_read = has_read or node.callee == "read"
         return ops, has_read
 
-    def record_call(self, callee: str, span: Span) -> None:
+    def record_call(self, callee: str, span: Span, anchor: Stmt) -> None:
         if callee in BUILTINS:
             return
         if callee not in self.function_names:
@@ -297,71 +308,48 @@ class _Resolver:
         caller = self.current_function
         if caller is not None:
             self.call_edges.add((caller, callee))
-        self.stmt_user_callees.setdefault(id(self.current_stmt), []).append(callee)
+        self.stmt_user_callees.setdefault(id(anchor), []).append(callee)
 
     # ---------- statements ----------
 
     def walk_stmt(self, stmt: Stmt) -> None:
-        outer = self.current_stmt
-        self.current_stmt = stmt
-        try:
-            if isinstance(stmt, Decl):
-                self.walk_decl(stmt)
-            elif isinstance(stmt, Assign):
-                self.walk_assign(stmt)
-            elif isinstance(stmt, CallStmt):
-                self.record_call(stmt.callee, stmt.span)
-                is_print = stmt.callee == "print"
-                for arg in stmt.args:
-                    self.walk_reads(arg, in_print_arg=is_print)
-            elif isinstance(stmt, Return):
-                self.walk_reads(stmt.value, in_return=True)
-            elif isinstance(stmt, Block):
-                self.current_stmt = outer
-                self.push()
-                for inner in stmt.stmts:
-                    self.walk_stmt(inner)
-                self.pop()
-            elif isinstance(stmt, If):
-                self.walk_reads(stmt.cond)
-                self.current_stmt = outer
-                self.walk_block(stmt.then_block)
-                if stmt.else_block is not None:
-                    self.walk_block(stmt.else_block)
-            elif isinstance(stmt, Switch):
-                self.walk_reads(stmt.scrutinee)
-                self.current_stmt = outer
-                for case in stmt.cases:
-                    self.walk_block(case.block)
-                if stmt.default_block is not None:
-                    self.walk_block(stmt.default_block)
-            elif isinstance(stmt, While):
-                self.walk_reads(stmt.cond)
-                self.current_stmt = outer
-                self.walk_block(stmt.body)
-            elif isinstance(stmt, DoWhile):
-                self.current_stmt = outer
-                self.walk_block(stmt.body)
-                self.current_stmt = stmt
-                self.walk_reads(stmt.cond)
-            elif isinstance(stmt, For):
-                self.push()  # header scope covers init, cond, step, body
-                if stmt.init is not None:
-                    self.walk_stmt(stmt.init)
-                self.current_stmt = stmt
-                self.walk_reads(stmt.cond)
-                if stmt.step is not None:
-                    self.walk_stmt(stmt.step)
-                self.current_stmt = outer
-                self.walk_block(stmt.body)
-                self.pop()
-            elif isinstance(stmt, (Parallel, Interrupt)):
-                self.current_stmt = outer
-                self.walk_block(stmt.body)
-            else:
-                raise TypeError(f"unknown statement {type(stmt).__name__}")
-        finally:
-            self.current_stmt = outer
+        """Emit one statement's occurrences; a nested statement anchors its own."""
+        cls = stmt.__class__
+        if cls is Decl:
+            self.walk_decl(stmt)
+        elif cls is Assign:
+            self.walk_assign(stmt)
+        elif cls is CallStmt:
+            self.record_call(stmt.callee, stmt.span, stmt)
+            is_print = stmt.callee == "print"
+            for arg in stmt.args:
+                self.walk_reads(arg, stmt, is_print)
+        elif cls is Return:
+            self.walk_reads(stmt.value, stmt, in_return=True)
+        elif cls is Block:
+            self.walk_block(stmt)
+        elif cls is For:
+            self.push()  # header scope covers init, cond, step, body
+            if stmt.init is not None:
+                self.walk_stmt(stmt.init)
+            self.walk_reads(stmt.cond, stmt)
+            if stmt.step is not None:
+                self.walk_stmt(stmt.step)
+            self.walk_block(stmt.body)
+            self.pop()
+        elif cls in _CONTROL:
+            # Parts in field order, which is evaluation order.
+            for name in cls._children:
+                part = getattr(stmt, name)
+                if part.__class__ is Block:
+                    self.walk_block(part)
+                elif part.__class__ is list:  # a switch's cases
+                    for case in part:
+                        self.walk_block(case.block)
+                elif part is not None:
+                    self.walk_reads(part, stmt)
+        else:
+            raise TypeError(f"unknown statement {cls.__name__}")
 
     def walk_block(self, block: Block) -> None:
         self.push()
@@ -372,28 +360,28 @@ class _Resolver:
     def walk_decl(self, stmt: Decl) -> None:
         sym_kind = "global" if self.current_function is None else "local"
         for d in stmt.declarators:
-            ops, has_read = self.walk_reads(d.init)
+            ops, has_read = self.walk_reads(d.init, stmt)
             kind = DECLARE if d.init is None else DECLARE_INIT
-            self.emit(self.declare(d.name, sym_kind, d.name_span), d.name_span, kind, ops, rhs_has_read=has_read)
+            self.emit(self.declare(d.name, sym_kind, d.name_span), d.name_span, kind, stmt, ops, rhs_has_read=has_read)
 
     def walk_assign(self, stmt: Assign) -> None:
-        ops, has_read = self.walk_reads(stmt.value)
+        ops, has_read = self.walk_reads(stmt.value, stmt)
         if stmt.op != "=":  # compound assignment and ++/-- count one operator
             ops += 1
         # Subscript indices on the target are reads; the base identifier is
         # the written symbol (array-element writes mutate the base symbol).
         target = stmt.target
-        if isinstance(target, Subscript):
-            ops += self.walk_reads(target.index)[0]
+        if target.__class__ is Subscript:
+            ops += self.walk_reads(target.index, stmt)[0]
             base = target.base
         else:
             base = target
-        if not isinstance(base, Ident):
+        if base.__class__ is not Ident:
             raise ResolveError("assignment target must be a variable", stmt.span)
         sym = self.lookup(base)
         if stmt.op != "=":  # compound assignment and ++/-- also read the target
-            self.emit(sym, base.span, READ)
-        self.emit(sym, base.span, WRITE, ops, rhs_has_read=has_read)
+            self.emit(sym, base.span, READ, stmt)
+        self.emit(sym, base.span, WRITE, stmt, ops, rhs_has_read=has_read)
 
     # ---------- top level ----------
 
@@ -406,10 +394,8 @@ class _Resolver:
             start = len(self.occurrences)
             self.current_function = fn.name
             self.push()  # function scope
-            self.current_stmt = fn
             for param in fn.params:
-                self.emit(self.declare(param.name, "parameter", param.span), param.span, DECLARE)
-            self.current_stmt = None
+                self.emit(self.declare(param.name, "parameter", param.span), param.span, DECLARE, fn)
             for stmt in fn.body.stmts:
                 self.walk_stmt(stmt)
             self.pop()

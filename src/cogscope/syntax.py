@@ -12,7 +12,11 @@ Nodes are plain classes on `Node`, each with its own positional
 interpreter per command, and there the code `dataclass` writes for 27
 classes, with the `dataclasses` import itself, cost more start-up time
 than the analysis of a file of ordinary size.  Each class names the fields
-that hold nodes in `_children`, and `walk` follows those.
+that hold nodes in `_children`, and `walk` follows those.  Field order is
+evaluation order, for an expression and for a control statement alike
+(a do-while's body before its condition); only a `for` lists its step
+before its body, as its text does.  The resolver reads a control
+statement's parts in that order.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ class Node:
 
 
 class Expr(Node):
-    def __init__(self, span: Span):
-        self.span = span
+    """Base of the expression nodes."""
 
 
 class Ident(Expr):
@@ -124,8 +127,7 @@ class ArrayInit(Expr):
 
 
 class Stmt(Node):
-    def __init__(self, span: Span):
-        self.span = span
+    """Base of the statement nodes."""
 
 
 class Declarator(Node):
@@ -316,8 +318,9 @@ _CHILD_FIELDS = {cls: cls._children[::-1] for cls in NODE_CLASSES}
 def walk(node):
     """Yield `node`, then every node below it: depth first, children in field order.
 
-    For an expression, field order is evaluation order.  The walk keeps its
-    own stack, so a tree of any depth is fine.
+    Field order is evaluation order, for an expression and for a control
+    statement other than `for`, and the resolver relies on it.  The walk
+    keeps its own stack, so a tree of any depth is fine.
     """
     stack = [node]
     pop = stack.pop

@@ -10,12 +10,13 @@ from test_info import FULL_LANGUAGE, TERSE_FORMS
 
 from cogscope.analysis import analyze_source
 from cogscope.cli import main
-from cogscope.errors import ResolveError
+from cogscope.errors import DUMMY_SPAN, ResolveError
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.info import annotate
 from cogscope.lexer import tokenize
 from cogscope.parser import parse_source
 from cogscope.resolve import call_components, classify_io, resolve
+from cogscope.syntax import CallStmt, Ident
 
 
 def _resolved(source: str):
@@ -110,6 +111,27 @@ def test_call_graph_edges():
     assert ("main", "f") in resolved.call_graph
     assert ("f", "g") in resolved.call_graph
     assert ("g", "f") in resolved.call_graph
+
+
+def test_a_call_as_for_initializer_is_a_statement_of_its_own():
+    unit = parse_source(
+        "int helper(int p) { return p; }"
+        " void main() { int i = 0; for (i = 0; i < 3; i++) { i = i + 1; } }"
+    )
+    loop = unit.function("main").body.stmts[1]
+    loop.init = CallStmt(DUMMY_SPAN, "helper", [Ident(DUMMY_SPAN, "i")])
+    resolved = resolve(unit)
+    assert ("main", "helper") in resolved.call_graph
+    assert resolved.stmt_user_callees[id(loop.init)] == ("helper",)
+    (arg,) = [o for o in resolved.occurrences if o.span is DUMMY_SPAN]
+    assert (arg.name, arg.kind, arg.stmt_id) == ("i", "read", id(loop.init))
+
+
+def test_an_expression_in_a_statement_list_is_rejected():
+    unit = parse_source("void main() { int a = 1; }")
+    unit.function("main").body.stmts.append(Ident(DUMMY_SPAN, "a"))
+    with pytest.raises(TypeError, match="^unknown statement Ident$"):
+        resolve(unit)
 
 
 def test_every_write_comes_from_assignment_or_initializer():

@@ -6,6 +6,7 @@ import sys
 import pytest
 from _checks import same_structure
 from _replay import oracle_escim, oracle_i, oracle_si, replay
+from test_info import FULL_LANGUAGE, TERSE_FORMS
 
 from cogscope.analysis import METRIC_IDS, analyze_rendered, analyze_source, metric_value
 from cogscope.generator import GeneratorConfig, generate
@@ -182,14 +183,16 @@ def test_renaming_main_rejected():
         rename("void main(){int a;}", {"main": "other"})
 
 
-def test_random_renamings_preserve_metrics():
+def test_random_renamings_preserve_metrics(fixtures_dir):
     import random
 
     rng = random.Random(4)
     from cogscope.transforms import _collect_names
 
-    for seed in range(120):
-        source = _canon(generate(GeneratorConfig(seed=seed + 40_000, max_statements=8)))
+    written = [path.read_text() for path in sorted(fixtures_dir.glob("*.ml1"))] + [FULL_LANGUAGE, TERSE_FORMS]
+    generated = (generate(GeneratorConfig(seed=seed + 40_000, max_statements=8)) for seed in range(120))
+    for text in [*generated, *written]:
+        source = _canon(text)
         names = sorted(_collect_names(parse_source(source)) - {"main"})
         targets = [f"n{i}x" for i in range(len(names))]
         rng.shuffle(targets)
