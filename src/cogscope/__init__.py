@@ -25,7 +25,7 @@ from .info import (
     region_extrema,
     scope_information,
 )
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .metrics import cfs, cpcm, efficiency, escim, mccm, scim_icn, wics_cicm
 from .parser import parse, parse_source
 from .resolve import ResolvedUnit, classify_io, resolve
@@ -42,7 +42,6 @@ __all__ = [
     "ResolveError",
     "ResolvedUnit",
     "Span",
-    "Token",
     "UndefinedEfficiencyError",
     "analyze_source",
     "annotate",

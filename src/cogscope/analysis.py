@@ -1,8 +1,9 @@
 """One-shot analysis pipeline: source text in, full metric report out.
 
 Program-level totals sum over functions; LOC and efficiency use the whole
-file.  Each function's line counts come from classify_io, over its own
-tokens; the program's LOC is the one classify_lines call over all of them.
+file.  Tokens are counted per line once, by the one classify_lines call over
+all of them: its LOC is the program's, and classify_io takes each function's
+line counts from its records.
 Each function is routed once, over its own occurrence run, and ESCIM and
 SCIM-ICN fold that routing; its I and SI are taken over the run, and the
 program's over every occurrence.  The routing is kept, so the per-granule
@@ -19,7 +20,7 @@ from __future__ import annotations
 from .errors import Record
 from .granules import GranuleTree, granulate, structural_weight
 from .info import InfoAnnotations, annotate, info_content, scope_information
-from .lexer import Token, classify_lines, tokenize
+from .lexer import classify_lines, tokenize
 from .metrics import (
     GranuleRow, Routing, cfs, cpcm, efficiency, escim, granule_report, mccm, route, scim_icn, wics_cicm,
 )
@@ -73,7 +74,7 @@ class Analysis:
         source: str,
         path: str,
         unit: SourceUnit,
-        tokens: list[Token],
+        tokens: list[tuple],
         resolved: ResolvedUnit,
         annotations: InfoAnnotations,
         io: dict[str, IoClassification],
@@ -112,11 +113,12 @@ def analyze_rendered(rendered: str, path: str = "<memory>") -> Analysis:
     return _analyze(rendered, path, rendered.tokens, rendered.unit)
 
 
-def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> Analysis:
+def _analyze(source: str, path: str, tokens: list[tuple], unit: SourceUnit) -> Analysis:
     """Everything after parsing: `unit` is the tree of `tokens`, the tokens of `source`."""
     resolved = resolve(unit)
     ann = annotate(resolved)
-    io = classify_io(resolved, tokens)
+    line_info = classify_lines(tokens)
+    io = classify_io(resolved, tokens, line_info)
 
     trees: dict[str, GranuleTree] = {}
     routings: dict[str, Routing] = {}
@@ -145,7 +147,7 @@ def _analyze(source: str, path: str, tokens: list[Token], unit: SourceUnit) -> A
             si_total=scope_information(ann, run),
         )
 
-    loc = classify_lines(tokens).loc
+    loc = line_info.loc
     everything = range(len(resolved.occurrences))
     totals = {
         name: sum(getattr(m, name) for m in functions.values())  # in function order

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 
 class Record:
-    """Base of the small value objects made once per token and occurrence.
+    """Base of the small value objects made once per tree node and occurrence.
 
     A subclass names its fields in ``__slots__`` and assigns each once, in
     ``__init__``; nothing assigns them later.  Equality, hash and repr follow

@@ -15,6 +15,12 @@ Annotation rule: a read carries the counter value before its statement's
 effect; a write or declaration carries the value after.  Both engines apply
 each statement once, in source order; loops are never iterated.
 
+Both counters only grow, and a symbol's declaration is its first
+occurrence, so along one symbol's occurrences SICN never falls, and along
+one name's occurrences ICN never falls (tests/test_info.py checks this).
+Over any set of occurrences, a symbol's lowest and highest SICN are those of
+its first and last occurrence, and a name's highest ICN is its last.
+
 Region queries fold annotations over a set of occurrence indices L:
   I(L)  = sum over names of the highest ICN annotation in L,
   SI(L) = sum over symbols of (highest - lowest) SICN annotation in L.

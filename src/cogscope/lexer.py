@@ -1,9 +1,13 @@
 """MiniLang lexer and physical-line accounting.
 
-Tokens keep exact byte offsets so the original source can be reconstructed
-and so AST spans nest correctly.  Comments (// and /* */) and whitespace are
-skipped but remembered by the line classifier: a physical line counts toward
-LOC only when it bears at least one token.
+A token is a plain tuple ``(kind, text, start, end, line, col)``: its kind
+(identifier | integer-literal | string-literal | keyword | operator-symbol |
+punctuation), its text, the half-open offsets [start, end) of that text, and
+the 1-based line and column of its start.  The offsets are exact, so the
+original source can be reconstructed and AST spans nest correctly; a
+`Span` is built only where a tree node keeps one, or an error reports one.
+Comments (// and /* */) and whitespace are skipped: a physical line counts
+toward LOC only when it bears at least one token.
 """
 
 from __future__ import annotations
@@ -83,22 +87,13 @@ _KIND_BY_FIRST = {
 }
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind  # identifier | integer-literal | string-literal | keyword | operator-symbol | punctuation
-        self.text = text
-        self.span = span
-
-
-def tokenize(source: str) -> list[Token]:
-    """Lex MiniLang source into a token list.
+def tokenize(source: str) -> list[tuple]:
+    """Lex MiniLang source into a list of ``(kind, text, start, end, line, col)``.
 
     Raises LexError on the first unrecognizable character or unterminated
     block comment / string literal.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
     append = tokens.append
     start = line_start = 0  # offset of the current text; of the current line
     line = 1
@@ -122,7 +117,7 @@ def tokenize(source: str) -> list[Token]:
                 break
         elif text == "/" and source.startswith("/*", start):
             raise LexError("unterminated block comment", Span(start, start + 2, line, start - line_start + 1))
-        append(Token(kind, text, Span(start, end, line, start - line_start + 1)))
+        append((kind, text, start, end, line, start - line_start + 1))
         start = end
     if start != len(source):
         span = Span(start, start + 1, line, start - line_start + 1)
@@ -133,6 +128,11 @@ def tokenize(source: str) -> list[Token]:
             raise LexError("unterminated block comment", span)
         raise LexError(f"unrecognizable character {ch!r}", span)
     return tokens
+
+
+def token_span(token: tuple) -> Span:
+    """The Span of one token."""
+    return Span(token[2], token[3], token[4], token[5])
 
 
 # ============================================================
@@ -157,40 +157,46 @@ class LineRecord(Record):
 
 
 class LineInfo(Record):
-    """LOC and the records of the token-bearing lines it counts."""
+    """LOC, the records of the token-bearing lines it counts, and where each
+    of those lines' tokens start and end."""
 
-    __slots__ = ("loc", "lines")
+    __slots__ = ("loc", "lines", "starts", "ends")
 
-    def __init__(self, loc: int, lines: tuple[LineRecord, ...]):
+    def __init__(self, loc: int, lines: tuple[LineRecord, ...], starts: tuple[int, ...], ends: tuple[int, ...]):
         self.loc = loc
         self.lines = lines
+        self.starts = starts  # per line, the start of its first token
+        self.ends = ends  # per line, the end of its last token
 
 
-def classify_lines(tokens: list[Token]) -> LineInfo:
+def classify_lines(tokens: list[tuple]) -> LineInfo:
     """Count tokens per physical line; blank and comment-only lines drop out.
 
-    This is the one per-line count.  resolve.classify_io runs it once per
-    function, over the function's tokens, for its LOC and its WICS and MCCM
-    counts; analysis runs it once over the whole program for the program's
-    LOC.
+    This is the one per-line count: analysis runs it once over the whole
+    program, for the program's LOC, and resolve.classify_io takes each
+    function's lines from it by offset.
     """
     records: list[LineRecord] = []
-    current = idents = ops = lits = 0  # current: the line being counted, 0 before the first
-    for tok in tokens:  # in source order, so each line's tokens are adjacent
-        line = tok.span.line
+    starts: list[int] = []
+    ends: list[int] = []
+    current = idents = ops = lits = last_end = 0  # current: the line being counted, 0 before the first
+    for kind, text, start, end, line, _ in tokens:  # in source order, so each line's tokens are adjacent
         if line != current:
             if current:
                 records.append(LineRecord(idents, ops, lits))
+                ends.append(last_end)
+            starts.append(start)
             current = line
             idents = ops = lits = 0
-        kind = tok.kind
+        last_end = end
         if kind == "identifier":
             idents += 1
         elif kind == "operator-symbol":
-            if tok.text in COUNTED_OPERATORS:
+            if text in COUNTED_OPERATORS:
                 ops += 1
         elif kind == "integer-literal" or kind == "string-literal":
             lits += 1
     if current:
         records.append(LineRecord(idents, ops, lits))
-    return LineInfo(loc=len(records), lines=tuple(records))
+        ends.append(last_end)
+    return LineInfo(len(records), tuple(records), tuple(starts), tuple(ends))

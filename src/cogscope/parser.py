@@ -22,7 +22,7 @@ which the renderer makes too.  Variable names are the resolver's to check
 from __future__ import annotations
 
 from .errors import ParseError, Span
-from .lexer import BUILTINS, Token, tokenize
+from .lexer import BUILTINS, token_span, tokenize
 from .syntax import (
     ArrayInit,
     Assign,
@@ -96,25 +96,27 @@ class Checks:
 
     The parser makes them as it reads a program.  The renderer makes them as
     it writes a tree out (render.py), so a tree whose text the parser would
-    reject is known without that text being parsed.
+    reject is known without that text being parsed.  Each check takes the
+    token it is made at, and builds that token's span only to raise.
     """
 
     def __init__(self):
         self.functions: set[str] = set()  # the functions defined so far
         self.depth = 0  # open nesting levels; whoever opens one closes it with `self.depth -= 1`
 
-    def nest(self, span: Span) -> None:
-        """Open one nesting level at `span`."""
+    def nest(self, token: tuple) -> None:
+        """Open one nesting level at `token`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", span)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token_span(token))
 
-    def define(self, name: str, span: Span) -> None:
-        """Define a function named `name`."""
+    def define(self, token: tuple) -> None:
+        """Define a function named by the identifier `token`."""
+        name = token[1]
         if name in BUILTINS:
-            raise ParseError(f"cannot define reserved builtin {name!r}", span)
+            raise ParseError(f"cannot define reserved builtin {name!r}", token_span(token))
         if name in self.functions:
-            raise ParseError(f"duplicate function {name!r}", span)
+            raise ParseError(f"duplicate function {name!r}", token_span(token))
         self.functions.add(name)
 
     def one_main(self, functions: list[FunctionDef]) -> None:
@@ -125,52 +127,52 @@ class Checks:
 
 
 class _Parser(Checks):
+    # Tokens are the lexer's tuples (kind, text, start, end, line, col), read
+    # by index.  A Span is built only for a node that keeps one, or an error.
     # The most frequent nodes are built with positional arguments, in field
     # order: cheaper than keywords on this hot path.
 
-    def __init__(self, tokens: list[Token], source_len: int):
+    def __init__(self, tokens: list[tuple], source_len: int):
         super().__init__()
-        self.tokens = tokens
         # Lookahead is read as self._lookahead[self.pos + k], k <= 2.  Past
         # the last token every read finds the one END token, whose text
         # names it in messages and whose span is the end of the input.
-        last_line = tokens[-1].span.line if tokens else 1
-        self.end = Token(END, "end of input", Span(source_len, source_len, last_line, 1))
+        last_line = tokens[-1][4] if tokens else 1
+        self.end = (END, "end of input", source_len, source_len, last_line, 1)
         self._lookahead = [*tokens, self.end, self.end, self.end]
         self.pos = 0
 
     # ---------- token plumbing ----------
 
     def at(self, text: str) -> bool:
-        return self._lookahead[self.pos].text == text
+        return self._lookahead[self.pos][1] == text
 
     def at_kind(self, kind: str) -> bool:
-        return self._lookahead[self.pos].kind == kind
+        return self._lookahead[self.pos][0] == kind
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
+        """Read the current token, which the caller has matched."""
         tok = self._lookahead[self.pos]
-        if tok is self.end:
-            raise ParseError("unexpected end of input", tok.span)
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> tuple:
         tok = self._lookahead[self.pos]
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.span)
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {tok[1]!r}", token_span(tok))
         self.pos += 1
         return tok
 
-    def expect_ident(self) -> Token:
+    def expect_ident(self) -> tuple:
         tok = self._lookahead[self.pos]
-        if tok.kind != "identifier":
-            raise ParseError(f"expected identifier, found {tok.text!r}", tok.span)
+        if tok[0] != "identifier":
+            raise ParseError(f"expected identifier, found {tok[1]!r}", token_span(tok))
         self.pos += 1
         return tok
 
-    def span_from(self, start: Span) -> Span:
-        end = self.tokens[self.pos - 1].span.end if self.pos else start.end
-        return Span(start.start, end, start.line, start.col)
+    def span_from(self, start: tuple) -> Span:
+        """From token `start` through the last token read."""
+        return Span(start[2], self._lookahead[self.pos - 1][3], start[4], start[5])
 
     # ---------- top level ----------
 
@@ -178,29 +180,28 @@ class _Parser(Checks):
         functions: list[FunctionDef] = []
         globals_: list[Decl] = []
         while self._lookahead[self.pos] is not self.end:
-            tok = self._lookahead[self.pos]
-            if tok.text in ("void", "int") and self._is_function_header():
+            text = self._lookahead[self.pos][1]
+            if text in ("void", "int") and self._is_function_header():
                 functions.append(self.parse_function())
-            elif tok.text == "int":
+            elif text == "int":
                 globals_.append(self.parse_decl())
             else:
                 raise ParseError(
-                    f"expected declaration or function, found {tok.text!r}", tok.span
+                    f"expected declaration or function, found {text!r}", token_span(self._lookahead[self.pos])
                 )
         self.one_main(functions)
         return SourceUnit(functions=functions, globals=globals_)
 
     def _is_function_header(self) -> bool:
         return (
-            self._lookahead[self.pos + 1].kind == "identifier"
-            and self._lookahead[self.pos + 2].text == "("
+            self._lookahead[self.pos + 1][0] == "identifier"
+            and self._lookahead[self.pos + 2][1] == "("
         )
 
     def parse_function(self) -> FunctionDef:
-        start = self.advance().span  # void | int
-        ret_type = self.tokens[self.pos - 1].text
+        start = self.advance()  # void | int
         name_tok = self.expect_ident()
-        self.define(name_tok.text, name_tok.span)
+        self.define(name_tok)
         self.expect("(")
         params: list[Param] = []
         while not self.at(")"):
@@ -213,34 +214,34 @@ class _Parser(Checks):
                 self.advance()
                 self.expect("]")
                 is_array = True
-            params.append(Param(pname.text, pname.span, is_array))
+            params.append(Param(pname[1], Span(pname[2], pname[3], pname[4], pname[5]), is_array))
         self.expect(")")
         body = self.parse_block()
         return FunctionDef(
-            name=name_tok.text,
+            name=name_tok[1],
             params=params,
             body=body,
             span=self.span_from(start),
-            ret_type=ret_type,
+            ret_type=start[1],
         )
 
     # ---------- statements ----------
 
     def parse_block(self) -> Block:
         open_brace = self.expect("{")
-        self.nest(open_brace.span)
+        self.nest(open_brace)
         stmts: list[Stmt] = []
         while not self.at("}"):
             stmts.append(self.parse_stmt())
         self.expect("}")
         self.depth -= 1
-        return Block(self.span_from(open_brace.span), stmts)
+        return Block(self.span_from(open_brace), stmts)
 
     def parse_body(self) -> Block:
         """A control-structure body: a block, or one statement wrapped in a block."""
         if self.at("{"):
             return self.parse_block()
-        self.nest(self.tokens[self.pos - 1].span)  # the ')' or 'else' before the body
+        self.nest(self._lookahead[self.pos - 1])  # the ')' or 'else' before the body
         stmt = self.parse_stmt()
         self.depth -= 1
         return Block(span=stmt.span, stmts=[stmt])
@@ -248,8 +249,8 @@ class _Parser(Checks):
     def parse_stmt(self) -> Stmt:
         tok = self._lookahead[self.pos]
         if tok is self.end:
-            raise ParseError("unexpected end of input", tok.span)
-        text = tok.text
+            raise ParseError("unexpected end of input", token_span(tok))
+        text = tok[1]
         if text == "int":
             return self.parse_decl()
         if text == "if":
@@ -263,27 +264,27 @@ class _Parser(Checks):
         if text == "do":
             return self.parse_do_while()
         if text == "parallel":
-            start = self.advance().span
+            self.advance()
             body = self.parse_block()
-            return Parallel(span=self.span_from(start), body=body)
+            return Parallel(span=self.span_from(tok), body=body)
         if text == "interrupt":
-            start = self.advance().span
+            self.advance()
             body = self.parse_block()
-            return Interrupt(span=self.span_from(start), body=body)
+            return Interrupt(span=self.span_from(tok), body=body)
         if text == "return":
-            start = self.advance().span
+            self.advance()
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            return Return(span=self.span_from(start), value=value)
+            return Return(span=self.span_from(tok), value=value)
         if text == "{":
             return self.parse_block()
         stmt = self.parse_simple_stmt()
         self.expect(";")
-        stmt.span = self.span_from(stmt.span)
+        stmt.span = self.span_from(tok)
         return stmt
 
     def parse_decl(self) -> Decl:
-        start = self.expect("int").span
+        start = self.expect("int")
         declarators: list[Declarator] = []
         while True:
             name_tok = self.expect_ident()
@@ -297,12 +298,13 @@ class _Parser(Checks):
                 self.advance()
                 if self.at("{"):
                     if not is_array:
-                        span = self._lookahead[self.pos].span
+                        span = token_span(self._lookahead[self.pos])
                         raise ParseError("brace initializer requires an array declarator", span)
                     init = self.parse_array_init()
                 else:
                     init = self.parse_expr()
-            declarators.append(Declarator(name_tok.text, name_tok.span, is_array, init))
+            span = Span(name_tok[2], name_tok[3], name_tok[4], name_tok[5])
+            declarators.append(Declarator(name_tok[1], span, is_array, init))
             if self.at(","):
                 self.advance()
                 continue
@@ -311,7 +313,7 @@ class _Parser(Checks):
         return Decl(self.span_from(start), declarators)
 
     def parse_array_init(self) -> ArrayInit:
-        start = self.expect("{").span
+        start = self.expect("{")
         elements: list[Expr] = []
         while not self.at("}"):
             if elements:
@@ -323,32 +325,29 @@ class _Parser(Checks):
     def parse_simple_stmt(self) -> Stmt:
         """Assignment, ++/--, or a call statement."""
         tok = self._lookahead[self.pos]
-        if (
-            tok.kind == "identifier"
-            and tok.text in BUILTINS
-            or (tok.kind == "identifier" and self._peek_is_plain_call())
-        ):
-            name = self.advance()
-            args = self.parse_call_args(allow_strings=name.text == "print")
-            return CallStmt(span=name.span, callee=name.text, args=args)
+        if tok[0] == "identifier" and (tok[1] in BUILTINS or self._peek_is_plain_call()):
+            self.advance()
+            args = self.parse_call_args(allow_strings=tok[1] == "print")
+            return CallStmt(span=token_span(tok), callee=tok[1], args=args)
         target = self.parse_lvalue()
         nxt = self._lookahead[self.pos]
         if nxt is self.end:
             raise ParseError("unexpected end of statement", target.span)
-        if nxt.text in ("++", "--"):
+        op = nxt[1]
+        if op == "++" or op == "--":
             self.advance()
-            return Assign(target.span, target, nxt.text, None)
-        if nxt.text == "=" or nxt.text in _COMPOUND_ASSIGN:
+            return Assign(target.span, target, op, None)
+        if op == "=" or op in _COMPOUND_ASSIGN:
             self.advance()
             value = self.parse_expr()
-            return Assign(target.span, target, nxt.text, value)
-        raise ParseError(f"expected assignment or call, found {nxt.text!r}", nxt.span)
+            return Assign(target.span, target, op, value)
+        raise ParseError(f"expected assignment or call, found {op!r}", token_span(nxt))
 
     def _peek_is_plain_call(self) -> bool:
-        return self._lookahead[self.pos + 1].text == "("
+        return self._lookahead[self.pos + 1][1] == "("
 
     def parse_call_args(self, allow_strings: bool) -> list[Expr]:
-        self.nest(self.expect("(").span)
+        self.nest(self.expect("("))
         args: list[Expr] = []
         while not self.at(")"):
             if args:
@@ -357,9 +356,9 @@ class _Parser(Checks):
                 tok = self.advance()
                 if not allow_strings:
                     raise ParseError(
-                        "string literals are only allowed as print arguments", tok.span
+                        "string literals are only allowed as print arguments", token_span(tok)
                     )
-                args.append(StrLit(span=tok.span, raw=tok.text))
+                args.append(StrLit(span=token_span(tok), raw=tok[1]))
             else:
                 args.append(self.parse_expr())
         self.expect(")")
@@ -370,27 +369,27 @@ class _Parser(Checks):
         global_qualified = False
         start = self._lookahead[self.pos]
         if start is self.end:
-            raise ParseError("unexpected end of input", start.span)
-        if self.at("::"):
+            raise ParseError("unexpected end of input", token_span(start))
+        if start[1] == "::":
             self.advance()
             global_qualified = True
         name_tok = self.expect_ident()
-        span = Span(start.span.start, name_tok.span.end, start.span.line, start.span.col)
-        node: Expr = Ident(span, name_tok.text, global_qualified)
+        span = Span(start[2], name_tok[3], start[4], start[5])
+        node: Expr = Ident(span, name_tok[1], global_qualified)
         if self.at("["):
-            self.nest(self.advance().span)
+            self.nest(self.advance())
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
             node = Subscript(
-                span=Span(span.start, close.span.end, span.line, span.col),
+                span=Span(span.start, close[3], span.line, span.col),
                 base=node,
                 index=index,
             )
         return node
 
     def parse_if(self) -> If:
-        start = self.expect("if").span
+        start = self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -399,7 +398,7 @@ class _Parser(Checks):
         if self.at("else"):
             self.advance()
             if self.at("if"):
-                self.nest(self._lookahead[self.pos].span)
+                self.nest(self._lookahead[self.pos])
                 nested = self.parse_if()
                 self.depth -= 1
                 else_block = Block(span=nested.span, stmts=[nested])
@@ -408,7 +407,7 @@ class _Parser(Checks):
         return If(span=self.span_from(start), cond=cond, then_block=then_block, else_block=else_block)
 
     def parse_switch(self) -> Switch:
-        start = self.expect("switch").span
+        start = self.expect("switch")
         self.expect("(")
         scrutinee = self.parse_expr()
         self.expect(")")
@@ -420,29 +419,27 @@ class _Parser(Checks):
                 self.advance()
                 lit_tok = self._lookahead[self.pos]
                 negative = False
-                if lit_tok.text == "-":
+                if lit_tok[1] == "-":
                     self.advance()
                     negative = True
                     lit_tok = self._lookahead[self.pos]
-                if lit_tok.kind != "integer-literal":
-                    raise ParseError("case label must be an integer literal", lit_tok.span)
+                if lit_tok[0] != "integer-literal":
+                    raise ParseError("case label must be an integer literal", token_span(lit_tok))
                 self.advance()
-                value = -int(lit_tok.text) if negative else int(lit_tok.text)
-                literal = IntLit(span=lit_tok.span, value=value)
+                value = -int(lit_tok[1]) if negative else int(lit_tok[1])
+                literal = IntLit(span=token_span(lit_tok), value=value)
                 self.expect(":")
                 block = self.parse_block()
                 cases.append(SwitchCase(literal=literal, block=block))
             elif self.at("default"):
                 if default_block is not None:
-                    raise ParseError("duplicate default case", self._lookahead[self.pos].span)
+                    raise ParseError("duplicate default case", token_span(self._lookahead[self.pos]))
                 self.advance()
                 self.expect(":")
                 default_block = self.parse_block()
             else:
-                raise ParseError(
-                    f"expected 'case' or 'default', found {self._lookahead[self.pos].text!r}",
-                    self._lookahead[self.pos].span,
-                )
+                tok = self._lookahead[self.pos]
+                raise ParseError(f"expected 'case' or 'default', found {tok[1]!r}", token_span(tok))
         self.expect("}")
         return Switch(
             span=self.span_from(start),
@@ -452,17 +449,18 @@ class _Parser(Checks):
         )
 
     def parse_for(self) -> For:
-        start = self.expect("for").span
+        start = self.expect("for")
         self.expect("(")
         init: Stmt | None = None
         if not self.at(";"):
             if self.at("int"):
                 init = self.parse_decl()  # consumes its ';'
             else:
+                first = self._lookahead[self.pos]
                 init = self.parse_simple_stmt()
                 if not isinstance(init, Assign):
                     raise ParseError("for initializer must be a declaration or assignment", init.span)
-                init.span = self.span_from(init.span)
+                init.span = self.span_from(first)
                 self.expect(";")
         else:
             self.expect(";")
@@ -472,17 +470,18 @@ class _Parser(Checks):
         self.expect(";")
         step: Assign | None = None
         if not self.at(")"):
+            first = self._lookahead[self.pos]
             stmt = self.parse_simple_stmt()
             if not isinstance(stmt, Assign):
                 raise ParseError("for step must be an assignment", stmt.span)
-            stmt.span = self.span_from(stmt.span)
+            stmt.span = self.span_from(first)
             step = stmt
         self.expect(")")
         body = self.parse_body()
         return For(span=self.span_from(start), init=init, cond=cond, step=step, body=body)
 
     def parse_while(self) -> While:
-        start = self.expect("while").span
+        start = self.expect("while")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -490,7 +489,7 @@ class _Parser(Checks):
         return While(span=self.span_from(start), cond=cond, body=body)
 
     def parse_do_while(self) -> DoWhile:
-        start = self.expect("do").span
+        start = self.expect("do")
         body = self.parse_block()
         self.expect("while")
         self.expect("(")
@@ -509,76 +508,68 @@ class _Parser(Checks):
         pending: list[tuple[int, str, Expr]] = []
         node = self.parse_unary()
         while True:
-            tok = self._lookahead[self.pos]
-            prec = _BIN_PREC.get(tok.text)
+            op = self._lookahead[self.pos][1]
+            prec = _BIN_PREC.get(op)
             while pending and (prec is None or pending[-1][0] >= prec):
-                _, op, lhs = pending.pop()
-                node = Binary(Span(lhs.span.start, node.span.end, lhs.span.line, lhs.span.col), op, lhs, node)
+                _, pending_op, lhs = pending.pop()
+                node = Binary(Span(lhs.span.start, node.span.end, lhs.span.line, lhs.span.col), pending_op, lhs, node)
             if prec is None:
                 return node
             self.pos += 1
-            pending.append((prec, tok.text, node))
+            pending.append((prec, op, node))
             node = self.parse_unary()
 
     def parse_unary(self) -> Expr:
         tok = self._lookahead[self.pos]
-        if tok.text in ("-", "!"):
-            self.advance()
-            self.nest(tok.span)
+        if tok[1] in ("-", "!"):
+            self.pos += 1
+            self.nest(tok)
             operand = self.parse_unary()
             self.depth -= 1
-            return Unary(Span(tok.span.start, operand.span.end, tok.span.line, tok.span.col), tok.text, operand)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
+            return Unary(Span(tok[2], operand.span.end, tok[4], tok[5]), tok[1], operand)
         node = self.parse_primary()
-        while True:
-            if self.at("["):
-                self.nest(self.advance().span)
-                index = self.parse_expr()
-                close = self.expect("]")
-                self.depth -= 1
-                node = Subscript(
-                    span=Span(node.span.start, close.span.end, node.span.line, node.span.col),
-                    base=node,
-                    index=index,
-                )
-            else:
-                return node
+        while self._lookahead[self.pos][1] == "[":  # postfix subscripts
+            self.nest(self.advance())
+            index = self.parse_expr()
+            close = self.expect("]")
+            self.depth -= 1
+            node = Subscript(Span(node.span.start, close[3], node.span.line, node.span.col), node, index)
+        return node
 
     def parse_primary(self) -> Expr:
         tok = self._lookahead[self.pos]
         if tok is self.end:
-            raise ParseError("unexpected end of expression", tok.span)
-        if tok.text == "(":
-            self.nest(self.advance().span)
+            raise ParseError("unexpected end of expression", token_span(tok))
+        kind, text = tok[0], tok[1]
+        if text == "(":
+            self.nest(self.advance())
             node = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return node
-        if tok.kind == "integer-literal":
-            self.advance()
-            return IntLit(tok.span, int(tok.text))
-        if tok.kind == "string-literal":
-            raise ParseError("string literals are only allowed as print arguments", tok.span)
-        if tok.text == "::":
+        if kind == "integer-literal":
+            self.pos += 1
+            return IntLit(Span(tok[2], tok[3], tok[4], tok[5]), int(text))
+        if kind == "string-literal":
+            raise ParseError("string literals are only allowed as print arguments", token_span(tok))
+        if text == "::":
             self.advance()
             name_tok = self.expect_ident()
             return Ident(
-                span=Span(tok.span.start, name_tok.span.end, tok.span.line, tok.span.col),
-                name=name_tok.text,
+                span=Span(tok[2], name_tok[3], tok[4], tok[5]),
+                name=name_tok[1],
                 global_qualified=True,
             )
-        if tok.kind == "identifier":
-            self.advance()
-            if self.at("("):
-                args = self.parse_call_args(allow_strings=tok.text == "print")
-                return CallExpr(span=self.span_from(tok.span), callee=tok.text, args=args)
-            return Ident(tok.span, tok.text)
-        raise ParseError(f"unexpected token {tok.text!r} in expression", tok.span)
+        if kind == "identifier":
+            self.pos += 1
+            if self._lookahead[self.pos][1] == "(":
+                args = self.parse_call_args(allow_strings=text == "print")
+                return CallExpr(span=self.span_from(tok), callee=text, args=args)
+            return Ident(Span(tok[2], tok[3], tok[4], tok[5]), text)
+        raise ParseError(f"unexpected token {text!r} in expression", token_span(tok))
 
 
-def parse(tokens: list[Token], source_len: int) -> SourceUnit:
+def parse(tokens: list[tuple], source_len: int) -> SourceUnit:
     """Parse the tokens of a source text of ``source_len`` characters into a SourceUnit."""
     return _Parser(tokens, source_len).parse_unit()
 

@@ -6,13 +6,14 @@ Style: four-space indents, one statement per line, braces always emitted,
 every binary operation but the outermost of an expression in parentheses.
 
 The renderer writes the text as a token stream and lays it out as it goes:
-it returns a `Rendered`, the text together with its tokens and a copy of
-the tree whose spans are those the parser gives that text.  So a program
-that a transform builds is scored without being lexed and parsed again
-(analysis.analyze_rendered).  The layout makes the parser's own checks
-(parser.Checks) on the way; a tree the parser would reject from its text,
-or would read back as a different tree, gets no layout, and its tokens and
-tree come from lexing and parsing the text when first read.  Variable names
+it returns a `Rendered`, the text together with its tokens (the lexer's
+tuples) and a copy of the tree whose spans are those the parser gives that
+text.  So a program that a transform builds is scored without being lexed
+and parsed again (analysis.analyze_rendered).  The layout makes the
+parser's own checks (parser.Checks) on the way; a tree the parser would
+reject from its text, or would read back as a different tree, gets no
+layout, and its tokens and tree come from lexing and parsing the text when
+first read.  Variable names
 are not the parser's to check: a tree with a variable named twice in one
 scope, or named as a builtin, is laid out, and resolving the layout raises
 the resolver's error, as resolving the parse of its text does.
@@ -24,7 +25,7 @@ import re
 from functools import cached_property
 
 from .errors import ParseError, Span
-from .lexer import BUILTINS, KEYWORDS, Token, tokenize
+from .lexer import BUILTINS, KEYWORDS, token_span, tokenize
 from .parser import _BIN_PREC, _COMPOUND_ASSIGN, Checks, parse
 from .syntax import (
     ArrayInit,
@@ -67,7 +68,8 @@ IDENT, INT, STRING = "identifier", "integer-literal", "string-literal"
 class Rendered(str):
     """Canonical program text, with its layout.
 
-    ``tokens`` equals ``tokenize(text)``, and ``unit`` is a fresh copy of the
+    ``tokens`` equals ``tokenize(text)``, the same ``(kind, text, start,
+    end, line, col)`` tuples, and ``unit`` is a fresh copy of the
     rendered tree with the spans that ``parse`` gives the text.  Both come
     from the renderer; for a tree without a layout they come from lexing
     and parsing the text on first read, so ``unit`` then raises the
@@ -75,7 +77,7 @@ class Rendered(str):
     """
 
     @cached_property
-    def tokens(self) -> list[Token]:
+    def tokens(self) -> list[tuple]:
         return tokenize(self)
 
     @cached_property
@@ -100,7 +102,7 @@ class _Layout(Checks):
     def __init__(self):
         super().__init__()
         self.parts: list[str] = []
-        self.tokens: list[Token] = []
+        self.tokens: list[tuple] = []
         self._write = self.parts.append
         self._push = self.tokens.append
         self.offset = 0
@@ -110,16 +112,16 @@ class _Layout(Checks):
     def inexact(self) -> None:
         raise _Inexact
 
-    def tok(self, kind: str, text: str, space: str = "") -> Span:
-        """Write one token after `space`; return its span."""
+    def tok(self, kind: str, text: str, space: str = "") -> tuple:
+        """Write one token after `space`; return it, as the lexer would."""
         start = self.offset + len(space)
         self.offset = end = start + len(text)
-        span = Span(start, end, self.line, start - self.col_base)
-        self._push(Token(kind, text, span))
+        token = (kind, text, start, end, self.line, start - self.col_base)
+        self._push(token)
         self._write(space + text)
-        return span
+        return token
 
-    def name(self, name: str, space: str = "") -> Span:
+    def name(self, name: str, space: str = "") -> tuple:
         if name in KEYWORDS or not name.isidentifier() or not name.isascii():
             self.inexact()
         return self.tok(IDENT, name, space)
@@ -132,8 +134,13 @@ class _Layout(Checks):
         self.col_base = self.offset + (1 if blank else 0)
         self.offset += len(text)
 
-    def span_from(self, start: Span) -> Span:
-        return Span(start.start, self.offset, start.line, start.col)
+    def span_from(self, start: tuple) -> Span:
+        """From token `start` through the last token written."""
+        return Span(start[2], self.offset, start[4], start[5])
+
+    def extend(self, span: Span) -> Span:
+        """`span` stretched through the last token written."""
+        return Span(span.start, self.offset, span.line, span.col)
 
     # ---------- top level ----------
 
@@ -156,18 +163,18 @@ class _Layout(Checks):
         if fn.ret_type not in ("void", "int"):
             self.inexact()
         start = self.tok(KEYWORD, fn.ret_type)
-        self.define(fn.name, self.name(fn.name, " "))
+        self.define(self.name(fn.name, " "))
         self.tok(PUNCT, "(")
         params = []
         for param in fn.params:
             if params:
                 self.tok(PUNCT, ",")
             self.tok(KEYWORD, "int", " " if params else "")
-            span = self.name(param.name, " ")
+            name = self.name(param.name, " ")
             if param.is_array:
                 self.tok(PUNCT, "[")
                 self.tok(PUNCT, "]")
-            params.append(Param(param.name, span, param.is_array))
+            params.append(Param(param.name, token_span(name), param.is_array))
         self.tok(PUNCT, ")")
         body = self.block(fn.body.stmts, 0)
         return FunctionDef(fn.name, params, body, self.span_from(start), fn.ret_type)
@@ -190,7 +197,7 @@ class _Layout(Checks):
         if cls is Assign:
             copy = self.assign(stmt)
             self.tok(PUNCT, ";")
-            copy.span = self.span_from(copy.span)
+            copy.span = self.extend(copy.span)
             return copy
         if cls is Decl:
             return self.decl(stmt)
@@ -253,7 +260,7 @@ class _Layout(Checks):
         for d in decl.declarators:
             if copies:
                 self.tok(PUNCT, ",")
-            span = self.name(d.name, " ")
+            name = self.name(d.name, " ")
             if d.is_array:
                 self.tok(PUNCT, "[")
                 self.tok(PUNCT, "]")
@@ -266,7 +273,7 @@ class _Layout(Checks):
                     init = self.array_init(d.init, " ", True)
                 else:
                     init = self.expr(d.init, " ", True)
-            copies.append(Declarator(d.name, span, d.is_array, init))
+            copies.append(Declarator(d.name, token_span(name), d.is_array, init))
         self.tok(PUNCT, ";", "" if copies else " ")
         return Decl(self.span_from(start), copies)
 
@@ -298,7 +305,7 @@ class _Layout(Checks):
         else:
             if stmt.init.__class__ is Assign:
                 init = self.assign(stmt.init)
-                init.span = self.span_from(init.span)
+                init.span = self.extend(init.span)
             self.tok(PUNCT, ";")
         cond = None
         if stmt.cond is not None:
@@ -307,7 +314,7 @@ class _Layout(Checks):
         step = None
         if stmt.step is not None:
             step = self.assign(stmt.step, " ")
-            step.span = self.span_from(step.span)
+            step.span = self.extend(step.span)
         self.tok(PUNCT, ")", "" if step is not None else " ")
         body = self.block(stmt.body.stmts, depth)
         return For(self.span_from(start), init, cond, step, body)
@@ -323,12 +330,12 @@ class _Layout(Checks):
             value = case.literal.value
             if value.__class__ is not int:
                 self.inexact()
-                literal = IntLit(self.tok(INT, str(value), " "), value)
+                literal = IntLit(token_span(self.tok(INT, str(value), " ")), value)
             elif value < 0:
                 self.tok(OPERATOR, "-", " ")
-                literal = IntLit(self.tok(INT, str(-value)), value)
+                literal = IntLit(token_span(self.tok(INT, str(-value))), value)
             else:
-                literal = IntLit(self.tok(INT, str(value), " "), value)
+                literal = IntLit(token_span(self.tok(INT, str(value), " ")), value)
             self.tok(PUNCT, ":")
             cases.append(SwitchCase(literal, self.block(case.block.stmts, depth + 1)))
         default_block = None
@@ -354,21 +361,21 @@ class _Layout(Checks):
                 start = self.tok(PUNCT, "::", space)
                 self.name(name)
                 return Ident(self.span_from(start), name, True)
-            return Ident(self.name(name, space), name)
+            return Ident(token_span(self.name(name, space)), name)
         if cls is IntLit:
             value = expr.value
             if value.__class__ is not int:
                 self.inexact()
             if value >= 0:
-                return IntLit(self.tok(INT, str(value), space), value)
+                return IntLit(token_span(self.tok(INT, str(value), space)), value)
             # `(-5)`: the parser reads a minus applied to 5
             self.nest(self.tok(PUNCT, "(", space))
             op = self.tok(OPERATOR, "-")
             self.nest(op)
-            operand = IntLit(self.tok(INT, str(-value)), -value)
+            operand = IntLit(token_span(self.tok(INT, str(-value))), -value)
             self.tok(PUNCT, ")")
             self.depth -= 2
-            return Unary(Span(op.start, operand.span.end, op.line, op.col), "-", operand)
+            return Unary(Span(op[2], operand.span.end, op[4], op[5]), "-", operand)
         if cls is Binary:
             return self.binary(expr, space, top)
         if cls is Unary:
@@ -380,7 +387,7 @@ class _Layout(Checks):
             self.nest(start)
             copy = self.expr(operand)
             self.depth -= 1
-            return Unary(Span(start.start, copy.span.end, start.line, start.col), op, copy)
+            return Unary(Span(start[2], copy.span.end, start[4], start[5]), op, copy)
         if cls is Subscript:
             if expr.base.__class__ not in (Ident, IntLit, Binary, Subscript, CallExpr):
                 self.inexact()  # `-a[i]` subscripts `a`, not `-a`
@@ -389,14 +396,14 @@ class _Layout(Checks):
             index = self.expr(expr.index)
             self.tok(PUNCT, "]")
             self.depth -= 1
-            return Subscript(Span(base.span.start, self.offset, base.span.line, base.span.col), base, index)
+            return Subscript(self.extend(base.span), base, index)
         if cls is CallExpr:
             start = self.name(expr.callee, space)
             args = self.call_args(expr.callee, expr.args, top)
             return CallExpr(self.span_from(start), expr.callee, args)
         if cls is StrLit:
             self.inexact()  # a string is only a print argument
-            return StrLit(self.tok(STRING, expr.raw, space), expr.raw)
+            return StrLit(token_span(self.tok(STRING, expr.raw, space)), expr.raw)
         if cls is ArrayInit:
             self.inexact()  # braces only initialize an array declarator
             return self.array_init(expr, space, top)
@@ -439,7 +446,7 @@ class _Layout(Checks):
             if arg.__class__ is StrLit:
                 if callee != "print" or not _STRING.match(arg.raw):
                     self.inexact()
-                copies.append(StrLit(self.tok(STRING, arg.raw, space), arg.raw))
+                copies.append(StrLit(token_span(self.tok(STRING, arg.raw, space)), arg.raw))
             else:
                 copies.append(self.expr(arg, space, top))
         self.tok(PUNCT, ")")
@@ -463,10 +470,10 @@ class _Text(_Layout):
     def inexact(self) -> None:
         pass
 
-    def nest(self, span: Span) -> None:
+    def nest(self, token: tuple) -> None:
         pass
 
-    def define(self, name: str, span: Span) -> None:
+    def define(self, token: tuple) -> None:
         pass
 
     def one_main(self, functions: list[FunctionDef]) -> None:

@@ -36,17 +36,20 @@ counting engines only add.
 
 I/O classification is per function, as the metrics read it.  Classification
 reads each function's run: its parameters are the run's first occurrences,
-and its inputs, outputs and S_io come from the rest.  Lines are counted over
-the function's own tokens.
+and its inputs, outputs and S_io come from the rest.  Its line counts are the
+program's line records (lexer.classify_lines) that hold its tokens, taken by
+offset; a line it shares with tokens outside it is counted again over its
+own tokens alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from operator import itemgetter
 
 from .errors import Record, ResolveError, Span
-from .lexer import BUILTINS, LineInfo, Token, classify_lines
+from .lexer import BUILTINS, LineInfo, LineRecord, classify_lines
 from .syntax import (
     Assign,
     Binary,
@@ -420,6 +423,8 @@ def resolve(unit: SourceUnit) -> ResolvedUnit:
 # I/O CLASSIFICATION
 # ============================================================
 
+_START = itemgetter(2)  # a token's start offset
+
 
 class IoClassification(Record):
     """Input/output variable sets and the occurrence counts metrics consume."""
@@ -445,9 +450,9 @@ class IoClassification(Record):
         self.loc = loc
 
 
-def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, line_info: LineInfo) -> IoClassification:
+def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, lines: list[LineRecord]) -> IoClassification:
     """One function's classification from its run, whose first n_params
-    occurrences declare its parameters."""
+    occurrences declare its parameters, and from its token-bearing lines."""
     # Keyed by uid, which is unique within one resolve(): cheaper to hash than a Symbol.
     inputs = {occ.symbol.uid: occ.symbol for occ in occurrences[:n_params]}
     outputs: dict[int, Symbol] = {}
@@ -469,7 +474,6 @@ def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, line_info: Line
             read_groups.add((occ.stmt_id, uid))
     s_io += len(read_groups)
 
-    lines = line_info.lines
     return IoClassification(
         inputs=frozenset(inputs.values()),
         outputs=frozenset(outputs.values()),
@@ -477,12 +481,13 @@ def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, line_info: Line
         n_operators=sum(line.operators for line in lines),
         n_operands=sum(line.identifiers + line.literals for line in lines),
         line_counts=tuple(line.n for line in lines),
-        loc=line_info.loc,
+        loc=len(lines),
     )
 
 
-def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> dict[str, IoClassification]:
-    """I/O classification of each function, by name, over its own tokens.
+def classify_io(resolved: ResolvedUnit, tokens: list[tuple], line_info: LineInfo) -> dict[str, IoClassification]:
+    """I/O classification of each function, by name, over its own tokens,
+    whose per-line counts `line_info` (classify_lines(tokens)) holds.
 
     inputs  = function parameters plus symbols assigned from read();
     outputs = symbols appearing inside print arguments or return values.
@@ -490,13 +495,18 @@ def classify_io(resolved: ResolvedUnit, tokens: list[Token]) -> dict[str, IoClas
     occurrences once per (statement, symbol).
     """
     occurrences = resolved.occurrences
-    starts = [t.span.start for t in tokens]
+    records, starts, ends = line_info.lines, line_info.starts, line_info.ends
     functions: dict[str, IoClassification] = {}
     for fn in resolved.unit.functions:
         run = resolved.runs[fn.name]
-        lo = bisect_left(starts, fn.span.start)
-        hi = bisect_right(starts, fn.span.end - 1)
-        functions[fn.name] = _io_from(
-            occurrences[run.start : run.stop], len(fn.params), classify_lines(tokens[lo:hi])
-        )
+        first, last = fn.span.start, fn.span.end
+        lo = bisect_right(ends, first)  # the first line that ends inside the function
+        hi = bisect_left(starts, last)  # past the last line that starts inside it
+        lines = list(records[lo:hi])
+        for k in {lo, hi - 1}:  # only the first and last line can hold tokens outside it
+            if starts[k] < first or ends[k] > last:
+                a = bisect_left(tokens, max(starts[k], first), key=_START)
+                b = bisect_left(tokens, min(ends[k], last), key=_START)
+                lines[k - lo] = classify_lines(tokens[a:b]).lines[0]
+        functions[fn.name] = _io_from(occurrences[run.start : run.stop], len(fn.params), lines)
     return functions

@@ -161,6 +161,33 @@ NAME_ERRORS = {
 }
 
 
+# Programs whose one error no other test names, and the line that names it.
+LOCATED_ERRORS = {
+    "block comment at the end": ("void main() {} /* x", "1:16: unterminated block comment"),
+    "block comment inside": ("void main() {\n    int a = 1; /* open\n", "2:16: unterminated block comment"),
+    "string literal": ('void main() {\n    print("abc);\n}\n', "2:11: unterminated string literal"),
+    "second default": (
+        "void main() {\n    int a = 1;\n    switch (a) {\n        default: {\n        }\n"
+        "        default: {\n        }\n    }\n}\n",
+        "6:9: duplicate default case",
+    ),
+    "call as for initializer": ("void main() {\n    for (print(1); ;) {\n    }\n}\n",
+                                "2:10: for initializer must be a declaration or assignment"),
+    "call as for step": ("void main() {\n    int i = 0;\n    for (; i < 3; print(i)) {\n    }\n}\n",
+                         "3:19: for step must be an assignment"),
+    "print in an expression": ("void main() {\n    int y = print(1);\n}\n",
+                               "2:13: print cannot be used in an expression"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_ERRORS))
+def test_an_error_is_one_located_line_and_no_traceback(case, tmp_path, capsys):
+    source, message = LOCATED_ERRORS[case]
+    path = tmp_path / "bad.ml1"
+    path.write_text(source)
+    assert run_cli(["analyze", str(path)], capsys) == (1, "", f"{path}:{message}\n")
+
+
 @pytest.mark.parametrize("case", sorted(NAME_ERRORS))
 def test_a_variable_name_error_is_one_located_line(case, tmp_path, capsys):
     source, message = NAME_ERRORS[case]

@@ -29,20 +29,20 @@ _PIECE = re.compile(r'"[^"\n]*"?|\w+|\S')
 
 
 def _mutate(rng: random.Random, source: str, other: str) -> str:
-    spans = [t.span for t in tokenize(source)]
-    cut = rng.choice(spans)
+    spans = [(t[2], t[3]) for t in tokenize(source)]
+    start, end = rng.choice(spans)
     kind = rng.randrange(4)
     if kind == 0:  # truncate before a token
-        return source[: cut.start]
+        return source[:start]
     if kind == 1:  # delete a token
-        return source[: cut.start] + source[cut.end :]
+        return source[:start] + source[end:]
     if kind == 2:  # duplicate a token
-        return source[: cut.end] + " " + source[cut.start : cut.end] + source[cut.end :]
-    other_spans = [t.span for t in tokenize(other)]  # splice a run of another program's tokens
+        return source[:end] + " " + source[start:end] + source[end:]
+    other_spans = [(t[2], t[3]) for t in tokenize(other)]  # splice a run of another program's tokens
     first = rng.randrange(len(other_spans))
     last = min(len(other_spans) - 1, first + rng.randrange(8))
-    run = other[other_spans[first].start : other_spans[last].end]
-    return source[: cut.start] + run + " " + source[cut.start :]
+    run = other[other_spans[first][0] : other_spans[last][1]]
+    return source[:start] + run + " " + source[start:]
 
 
 def _outcome(source: str) -> str:
@@ -66,7 +66,7 @@ def _shrink(source: str) -> str:
     """A smaller input that still breaks the contract: drop every run of
     tokens that can go, longest runs first, within a bounded number of tries."""
     try:
-        pieces = [t.text for t in tokenize(source)]
+        pieces = [t[1] for t in tokenize(source)]
     except MiniLangError:
         pieces = _PIECE.findall(source)
     if _outcome(" ".join(pieces)) in KEPT:  # the failure needs the original layout

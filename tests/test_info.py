@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 from _replay import oracle_escim, oracle_i, oracle_si, replay
 
 from cogscope.analysis import analyze_source
@@ -260,3 +262,28 @@ def test_oracle_agreement_spot_checks(fixture_text):
             for row in analysis.granule_rows(fn):
                 assert row.si == oracle_si(records, row.span_start, row.span_end), (name, row.id)
                 assert row.i == oracle_i(records, row.span_start, row.span_end), (name, row.id)
+
+
+def test_counters_never_fall_along_a_symbol_or_a_name(fixtures_dir):
+    """SICN never falls along one symbol's occurrences, nor ICN along one
+    name's, so a region's extrema are its first and last values."""
+    sources = [path.read_text() for path in sorted(fixtures_dir.glob("*.ml1"))]
+    sources += [FULL_LANGUAGE, TERSE_FORMS]
+    rng = random.Random(10)
+    for seed in range(300):
+        config = GeneratorConfig(
+            seed=seed + 140_000,
+            max_statements=rng.randint(3, 42),
+            max_nesting_depth=rng.randint(1, 4),
+            variable_pool_size=rng.randint(2, 8),
+        )
+        sources.append(generate(config))
+    for source in sources:
+        resolved, ann = _annotated(source)
+        last_sicn: dict[int, int] = {}
+        last_icn: dict[str, int] = {}
+        for occ, icn, sicn in zip(resolved.occurrences, ann.icn, ann.sicn):
+            assert sicn >= last_sicn.get(occ.symbol.uid, sicn), source
+            assert icn >= last_icn.get(occ.name, icn), source
+            last_sicn[occ.symbol.uid] = sicn
+            last_icn[occ.name] = icn

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cogscope import lexer
 from cogscope.errors import LexError
 from cogscope.lexer import classify_lines, tokenize
 
@@ -12,7 +13,7 @@ def test_empty_input_gives_empty_sequence():
 
 def test_minimal_statement_token_kinds():
     tokens = tokenize("a = 1;")
-    assert [(t.kind, t.text) for t in tokens] == [
+    assert [(t[0], t[1]) for t in tokens] == [
         ("identifier", "a"),
         ("operator-symbol", "="),
         ("integer-literal", "1"),
@@ -24,13 +25,13 @@ def test_tokens_reproduce_source_slices(fixture_text):
     source = fixture_text("eg3.ml1")
     tokens = tokenize(source)
     for tok in tokens:
-        assert source[tok.span.start : tok.span.end] == tok.text
+        assert source[tok[2] : tok[3]] == tok[1]
     # everything between tokens is whitespace or comments
     uncovered = []
     pos = 0
     for tok in tokens:
-        uncovered.append(source[pos : tok.span.start])
-        pos = tok.span.end
+        uncovered.append(source[pos : tok[2]])
+        pos = tok[3]
     uncovered.append(source[pos:])
     stripped = "".join(uncovered)
     assert all(ch in " \t\r\n" for ch in stripped.replace("//", "").replace("/*", "").replace("*/", ""))
@@ -38,15 +39,23 @@ def test_tokens_reproduce_source_slices(fixture_text):
 
 def test_comments_are_skipped_but_lines_classified():
     tokens = tokenize("a = 1; // trailing\n/* block\n comment */ b = 2;\n")
-    texts = [t.text for t in tokens]
+    texts = [t[1] for t in tokens]
     assert "//" not in "".join(texts) and "block" not in texts
-    assert [t.text for t in tokens if t.kind == "identifier"] == ["a", "b"]
+    assert [t[1] for t in tokens if t[0] == "identifier"] == ["a", "b"]
+
+
+def test_tokens_are_plain_tuples_and_lexing_builds_no_span(fixture_text, monkeypatch):
+    spans = []
+    monkeypatch.setattr(lexer, "Span", lambda *fields: spans.append(fields))
+    tokens = tokenize(fixture_text("eg3.ml1"))
+    assert tokens and all(type(t) is tuple and len(t) == 6 for t in tokens)
+    assert spans == []
 
 
 def test_line_and_column_are_one_based():
     tokens = tokenize("a\n  b")
-    assert (tokens[0].span.line, tokens[0].span.col) == (1, 1)
-    assert (tokens[1].span.line, tokens[1].span.col) == (2, 3)
+    assert (tokens[0][4], tokens[0][5]) == (1, 1)
+    assert (tokens[1][4], tokens[1][5]) == (2, 3)
 
 
 def test_lex_error_on_unknown_character():
@@ -66,14 +75,14 @@ def test_lex_error_on_unterminated_string():
 
 
 def test_keywords_are_not_identifiers():
-    kinds = {t.text: t.kind for t in tokenize("int while foo")}
+    kinds = {t[1]: t[0] for t in tokenize("int while foo")}
     assert kinds["int"] == "keyword"
     assert kinds["while"] == "keyword"
     assert kinds["foo"] == "identifier"
 
 
 def test_compound_operators_lex_as_single_tokens():
-    texts = [t.text for t in tokenize("a += 1; b ++; c <= d; e << f; g != h;")]
+    texts = [t[1] for t in tokenize("a += 1; b ++; c <= d; e << f; g != h;")]
     for op in ("+=", "++", "<=", "<<", "!="):
         assert op in texts
 
@@ -105,7 +114,7 @@ def test_per_line_counts_identifiers_and_operators():
 
 def test_eg1_identifier_multiset(fixture_text):
     tokens = tokenize(fixture_text("eg1.ml1"))
-    idents = [t.text for t in tokens if t.kind == "identifier"]
+    idents = [t[1] for t in tokens if t[0] == "identifier"]
     # case-normalized fixture: one variable `square`, one `userInput`
     assert idents.count("userInput") == 4
     assert idents.count("square") == 3

@@ -54,7 +54,7 @@ def _with_fillers(source: str, rng: random.Random, count: int = 4) -> str:
     """`source` with `count` filler lines, each put before a line whose first
     non-blank character starts a token, or before the first line: never
     inside a comment."""
-    token_starts = {token.span.start for token in tokenize(source)}
+    token_starts = {token[2] for token in tokenize(source)}
     lines = source.splitlines(keepends=True)
     places = [0]
     offset = 0

@@ -7,13 +7,14 @@ import sys
 import pytest
 from _replay import oracle_escim, replay
 from test_info import FULL_LANGUAGE, TERSE_FORMS
+from test_scaling import _Counted
 
 from cogscope.analysis import analyze_source
 from cogscope.cli import main
 from cogscope.errors import DUMMY_SPAN, ResolveError
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.info import annotate
-from cogscope.lexer import tokenize
+from cogscope.lexer import classify_lines, tokenize
 from cogscope.parser import parse_source
 from cogscope.resolve import call_components, classify_io, resolve
 from cogscope.syntax import CallStmt, Ident
@@ -229,8 +230,8 @@ def test_left_deep_sums_of_2000_terms_analyze(tmp_path, capsys):
 
 
 def _io(source: str):
-    unit = parse_source(source)
-    return classify_io(resolve(unit), tokenize(source))
+    tokens = tokenize(source)
+    return classify_io(resolve(parse_source(source)), tokens, classify_lines(tokens))
 
 
 def test_eg1_io_sets(fixture_text):
@@ -263,21 +264,49 @@ def test_operand_and_operator_totals():
     assert io.n_operators == 1
 
 
-def test_one_analysis_classifies_lines_once_per_function_and_once_for_the_program(monkeypatch):
-    calls = []
-    # `cogscope.resolve` as a package attribute is the resolve() function.
-    for name in ("cogscope.analysis", "cogscope.resolve"):
-        module = importlib.import_module(name)
-        original = module.classify_lines
-        monkeypatch.setattr(
-            module, "classify_lines", lambda tokens, original=original: calls.append(len(tokens)) or original(tokens)
-        )
+def test_one_analysis_reads_each_token_once_for_its_line_counts(monkeypatch):
+    analysis_module = importlib.import_module("cogscope.analysis")
+    counted, parse_reads = [], []
+    monkeypatch.setattr(analysis_module, "tokenize", lambda source: counted.append(_Counted(tokenize(source))) or counted[-1])
+    original_parse = analysis_module.parse
+
+    def parse_counted(tokens, source_len):
+        unit = original_parse(tokens, source_len)
+        parse_reads.append(tokens.reads)
+        return unit
+
+    monkeypatch.setattr(analysis_module, "parse", parse_counted)
     source = "int f(int p)\n{\n  return p;\n}\nint g()\n{\n  return 2;\n}\nvoid main()\n{\n  print(f(g()));\n}\n"
     analysis = analyze_source(source)
     assert len(analysis.unit.functions) == 3
-    assert len(calls) == 1 + 3
-    assert sorted(calls)[-1] == len(analysis.tokens)  # the program's LOC
+    # classify_lines reads each token once; classify_io takes each
+    # function's lines from its records and reads no token.
+    assert counted[0].reads - parse_reads[0] == len(analysis.tokens)
     assert analysis.program.loc == 12
+
+
+# Hand-written programs whose functions share a line with each other or with
+# a global declaration, and each function's (loc, line_counts, n_operators,
+# n_operands): a shared line counts each function's own tokens.
+SHARED_LINES = {
+    "int f(){return 1;} void main(){print(f());}": {
+        "f": (1, (1,), 0, 2),
+        "main": (1, (3,), 0, 3),
+    },
+    "int g = 2; int f(int p) {\n  return p + g;\n}\nint h = 3; void main() {\n  print(f(h) * 2); } int k;\n": {
+        "f": (3, (2, 3, 0), 1, 4),
+        "main": (2, (1, 4), 1, 5),
+    },
+}
+
+
+@pytest.mark.parametrize("source", sorted(SHARED_LINES))
+def test_a_shared_line_counts_each_functions_own_tokens(source):
+    analysis = analyze_source(source)
+    for name, expected in SHARED_LINES[source].items():
+        io = analysis.io[name]
+        assert (io.loc, io.line_counts, io.n_operators, io.n_operands) == expected
+        assert analysis.functions[name].loc == expected[0]
 
 
 def test_call_components_are_mutual_reachability():

@@ -1,0 +1,180 @@
+"""Paired benchmark runs of a parent revision and the working tree.
+
+    python3 tools/bench_pair.py --parent REV --workload W [--workload W ...] \\
+        --pairs N --seconds S --first-seed K --out BENCH_<PR>.json \\
+        [--claim WORKLOAD:METRIC:EXPECTED]
+
+Run it from the root of a checkout.  It checks REV out with
+``git worktree add --detach`` into a temporary directory, and removes that
+worktree at the end.  For each workload and each of N seeds, from K up, it
+runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
+once in that tree and once in the working tree, one after the other; the
+working tree runs first on odd seeds, the parent on even ones.  Then it runs
+one traced pair (``--trace 1``) per workload on seed K + N.  Choose K so that
+no seed was used while the change was written.
+
+The output has the keys of the earlier ``BENCH_*.json`` files: every run's
+last JSON line as printed, and per workload and end-to-end metric each
+side's median and quartiles (inclusive method), the pairs in which the
+change was better, and the gap between the medians.  A claim is met when
+the change was better in at least nine of ten pairs and the median gap is
+larger than the parent's interquartile range.  The script changes nothing
+under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict | None:
+    """The last JSON line of one run.py run in `tree`, or None if it printed none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        print(f"bench_pair: no result from {tree} {workload} seed {seed}: {proc.stderr.strip()}", file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def _pair(trees: dict[str, Path], workload: str, seed: int, seconds: int, trace: int, change_first: bool) -> list[dict]:
+    order = ("change", "parent") if change_first else ("parent", "change")
+    runs = []
+    for position, side in enumerate(order):
+        result = _run(trees[side], workload, seed, seconds, trace)
+        runs.append({"tree": side, "workload": workload, "seed": seed,
+                     "order": ("first", "second")[position], "result": result})
+        if result and not trace:
+            shown = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
+            print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr)
+    return runs
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
+    """Each side's quartiles per metric over the pairs that both completed."""
+    by_seed: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        if run["workload"] == workload:
+            by_seed.setdefault(run["seed"], {})[run["tree"]] = run
+    pairs = [sides for _, sides in sorted(by_seed.items())
+             if all(sides.get(tree) and sides[tree]["result"] for tree in ("parent", "change"))]
+    summary: dict = {"seeds": sorted(by_seed), "pairs": len(pairs)}
+    for metric in metrics:
+        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+        if len(pairs) < 2:
+            continue
+        parent = [sides["parent"]["result"]["metrics"][name]["value"] for sides in pairs]
+        change = [sides["change"]["result"]["metrics"][name]["value"] for sides in pairs]
+        p, c = _quartiles(parent), _quartiles(change)
+        summary[name] = {
+            "parent": p,
+            "change": c,
+            "change_better_in": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+            "change_vs_parent_pct": 100.0 * (c["median"] - p["median"]) / p["median"],
+            "parent_iqr": p["q3"] - p["q1"],
+            "median_gap": sign * (p["median"] - c["median"]),
+        }
+    summary["failed"] = {
+        tree: sum(r["result"]["failed"] if r["result"] else 1 for r in runs if r["workload"] == workload and r["tree"] == tree)
+        for tree in ("parent", "change")
+    }
+    return summary
+
+
+def claim_met(cell: dict, pairs: int) -> bool:
+    return cell["change_better_in"] >= 0.9 * pairs and cell["median_gap"] > cell["parent_iqr"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="paired perfbench runs of a parent revision and the working tree")
+    parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--workload", required=True, action="append", help="a workload; repeat for more")
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=int)
+    parser.add_argument("--first-seed", required=True, type=int, help="the first of the seeds; not used in development")
+    parser.add_argument("--out", required=True, type=Path, help="the BENCH_<PR>.json to write")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED, the gain the change claims")
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.seconds < 1:
+        parser.error("--pairs must be at least 2 and --seconds at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent_commit = _git("rev-parse", args.parent)
+    runs: list[dict] = []
+    traces: list[dict] = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
+        parent_tree = Path(scratch) / "tree"
+        _git("worktree", "add", "--detach", str(parent_tree), parent_commit)
+        try:
+            trees = {"parent": parent_tree, "change": ROOT}
+            for workload in args.workload:
+                for k in range(args.pairs):
+                    seed = args.first_seed + k
+                    runs += _pair(trees, workload, seed, args.seconds, 0, change_first=seed % 2 == 1)
+            for workload in args.workload:
+                traces += _pair(trees, workload, args.first_seed + args.pairs, args.seconds, 1, change_first=True)
+        finally:
+            _git("worktree", "remove", "--force", str(parent_tree))
+
+    summary = {w: summarize(runs, w, spec["end_to_end"]) for w in args.workload}
+    claim = None
+    if args.claim:
+        workload, metric, expected = args.claim.split(":", 2)
+        cell = summary[workload].get(metric)
+        claim = {"workload": workload, "metric": metric, "expected": expected,
+                 "met": bool(cell) and claim_met(cell, summary[workload]["pairs"])}
+    seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
+    document = {
+        "description": (
+            f"tools/bench_pair.py: perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0 "
+            f"on the parent commit (a detached worktree) and on the working tree, for seeds {seeds} of each "
+            "workload, alternating which runs first (the change first on odd seeds); each run's last JSON "
+            "line is kept as printed. Summary: median and quartiles (inclusive method) over the pairs; "
+            "change_better_in counts pairs; median_gap is the parent median minus the change median for a "
+            "lower-is-better metric (the reverse otherwise), parent_iqr the parent's q3 - q1."
+        ),
+        "parent_commit": parent_commit,
+        "machine": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+            "processor": platform.processor(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+        },
+        "claim": claim,
+        "summary": summary,
+        "runs": runs,
+        "traces": {
+            "description": f"perfbench/run.py --trace 1 --seconds {args.seconds} on seed "
+                           f"{args.first_seed + args.pairs}, the change first, then the parent.",
+            "runs": traces,
+        },
+        "extra": {"argv": sys.argv[1:] if argv is None else argv},
+    }
+    args.out.write_text(json.dumps(document, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
