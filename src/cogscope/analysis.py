@@ -74,7 +74,6 @@ class Analysis:
         source: str,
         path: str,
         unit: SourceUnit,
-        tokens: list[tuple],
         resolved: ResolvedUnit,
         annotations: InfoAnnotations,
         io: dict[str, IoClassification],
@@ -86,7 +85,6 @@ class Analysis:
         self.source = source
         self.path = path
         self.unit = unit
-        self.tokens = tokens
         self.resolved = resolved
         self.annotations = annotations
         self.io = io  # by function name
@@ -164,7 +162,6 @@ def _analyze(source: str, path: str, tokens: list[tuple], unit: SourceUnit) -> A
         source=source,
         path=path,
         unit=unit,
-        tokens=tokens,
         resolved=resolved,
         annotations=ann,
         io=io,

@@ -18,20 +18,23 @@ each statement once, in source order; loops are never iterated.
 Both counters only grow, and a symbol's declaration is its first
 occurrence, so along one symbol's occurrences SICN never falls, and along
 one name's occurrences ICN never falls (tests/test_info.py checks this).
-Over any set of occurrences, a symbol's lowest and highest SICN are those of
-its first and last occurrence, and a name's highest ICN is its last.
 
-Region queries fold annotations over a set of occurrence indices L:
-  I(L)  = sum over names of the highest ICN annotation in L,
-  SI(L) = sum over symbols of (highest - lowest) SICN annotation in L.
-The analysis passes a function's own occurrence run, a granule's routed
-occurrences, or every occurrence; a source span becomes such a set through
-`InfoAnnotations.in_region`, one scan of the whole program.
+Region folds read an occurrence set L as indices in ascending order, which
+is occurrence order, and rely on that invariant: over L a symbol's lowest
+and highest SICN are those of its first and last occurrence, and a name's
+highest ICN is its last.  So
+  I(L)  = sum over names of the name's last ICN in L,
+  SI(L) = sum over symbols of (last - first) SICN in L,
+and no fold compares two counter values.  The analysis passes a function's
+own occurrence run (a range), a granule's routed occurrences (a list in run
+order), or every occurrence (a range); a source span becomes such a list
+through `InfoAnnotations.in_region`, one scan of the whole program.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Sequence
 
 from .errors import Record, Span
 from .resolve import DECLARE, DECLARE_INIT, READ, WRITE, ResolvedUnit, Symbol
@@ -73,17 +76,27 @@ def compute_sicn(resolved: ResolvedUnit) -> tuple[int, ...]:
 
 
 class InfoAnnotations(Record):
-    """The ICN and SICN of every occurrence of a resolved program, in occurrence order."""
+    """The ICN and SICN of every occurrence of a resolved program, and its
+    name and symbol uid, in occurrence order."""
 
-    __slots__ = ("resolved", "icn", "sicn")
+    __slots__ = ("resolved", "icn", "sicn", "names", "uids")
 
-    def __init__(self, resolved: ResolvedUnit, icn: tuple[int, ...], sicn: tuple[int, ...]):
+    def __init__(
+        self,
+        resolved: ResolvedUnit,
+        icn: tuple[int, ...],
+        sicn: tuple[int, ...],
+        names: tuple[str, ...],
+        uids: tuple[int, ...],
+    ):
         self.resolved = resolved
         self.icn = icn
         self.sicn = sicn
+        self.names = names
+        self.uids = uids
 
     def in_region(self, region: Span) -> list[int]:
-        """Indices of occurrences lying inside the region span."""
+        """Indices of occurrences lying inside the region span, ascending."""
         return [
             i
             for i, occ in enumerate(self.resolved.occurrences)
@@ -92,7 +105,14 @@ class InfoAnnotations(Record):
 
 
 def annotate(resolved: ResolvedUnit) -> InfoAnnotations:
-    return InfoAnnotations(resolved=resolved, icn=compute_icn(resolved), sicn=compute_sicn(resolved))
+    occs = resolved.occurrences
+    return InfoAnnotations(
+        resolved=resolved,
+        icn=compute_icn(resolved),
+        sicn=compute_sicn(resolved),
+        names=tuple([occ.name for occ in occs]),
+        uids=tuple([occ.symbol.uid for occ in occs]),
+    )
 
 
 # ============================================================
@@ -100,35 +120,19 @@ def annotate(resolved: ResolvedUnit) -> InfoAnnotations:
 # ============================================================
 
 
-def info_content(ann: InfoAnnotations, indices: Iterable[int]) -> int:
-    """I over an occurrence set: sum of per-name ICN maxima."""
-    best: dict[str, int] = {}
-    occs = ann.resolved.occurrences
-    icn = ann.icn
-    for i in indices:
-        name = occs[i].name
-        value = icn[i]
-        if value > best.get(name, -1):
-            best[name] = value
-    return sum(best.values())
+def info_content(ann: InfoAnnotations, indices: Sequence[int]) -> int:
+    """I over an occurrence set in occurrence order: sum of each name's last ICN."""
+    names, icn = ann.names, ann.icn
+    return sum({names[i]: icn[i] for i in indices}.values())
 
 
-def scope_information(ann: InfoAnnotations, indices: Iterable[int]) -> int:
-    """SI over an occurrence set: sum of per-symbol (max - min)."""
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    occs = ann.resolved.occurrences
-    sicn = ann.sicn
-    for i in indices:
-        uid = occs[i].symbol.uid
-        value = sicn[i]
-        if uid not in lo:
-            lo[uid] = hi[uid] = value
-        elif value < lo[uid]:
-            lo[uid] = value
-        elif value > hi[uid]:
-            hi[uid] = value
-    return sum([hi[u] - lo[u] for u in lo])
+def scope_information(ann: InfoAnnotations, indices: Sequence[int]) -> int:
+    """SI over an occurrence set in occurrence order: sum of each symbol's
+    last minus first SICN."""
+    uids, sicn = ann.uids, ann.sicn
+    last = {uids[i]: sicn[i] for i in indices}
+    first = {uids[i]: sicn[i] for i in reversed(indices)}
+    return sum(last.values()) - sum(first.values())
 
 
 # ============================================================
@@ -150,28 +154,20 @@ class VariableExtrema(Record):
         self.occurrences = occurrences
 
 
-def region_extrema(ann: InfoAnnotations, indices: Iterable[int]) -> list[VariableExtrema]:
-    """Per-symbol extrema for every variable occurring in an occurrence set."""
-    rows: dict[int, list] = {}  # uid -> [symbol, ICN max, SICN max, SICN min, occurrences]
-    occs = ann.resolved.occurrences
-    icn, sicn = ann.icn, ann.sicn
-    for i in indices:
+def region_extrema(ann: InfoAnnotations, indices: Sequence[int]) -> list[VariableExtrema]:
+    """Per-symbol extrema for every variable occurring in an occurrence set
+    in occurrence order: a symbol's ICN and SICN maxima are those of its last
+    occurrence, and its SICN minimum that of its first."""
+    uids = ann.uids
+    last = {uids[i]: i for i in indices}
+    first = {uids[i]: i for i in reversed(indices)}
+    counts = Counter([uids[i] for i in indices])
+    occs, icn, sicn = ann.resolved.occurrences, ann.icn, ann.sicn
+    out = []
+    for uid, i in first.items():
         symbol = occs[i].symbol
-        row = rows.get(symbol.uid)
-        if row is None:
-            rows[symbol.uid] = [symbol, icn[i], sicn[i], sicn[i], 1]
-            continue
-        if icn[i] > row[1]:
-            row[1] = icn[i]
-        if sicn[i] > row[2]:
-            row[2] = sicn[i]
-        elif sicn[i] < row[3]:
-            row[3] = sicn[i]
-        row[4] += 1
-    out = [
-        VariableExtrema(symbol.name, symbol, icn_max, sicn_max, sicn_min, count)
-        for symbol, icn_max, sicn_max, sicn_min, count in rows.values()
-    ]
+        j = last[uid]
+        out.append(VariableExtrema(symbol.name, symbol, icn[j], sicn[j], sicn[i], counts[uid]))
     out.sort(key=lambda r: (r.name, r.symbol.uid))
     return out
 
@@ -180,8 +176,9 @@ def name_extrema(ann: InfoAnnotations, region: Span, name: str) -> tuple[int, in
     """(ICN_max, SICN_max, SICN_min) of one variable name within a region.
 
     ICN_max follows the name across scopes; SICN extrema range over all
-    symbols of that name occurring in the region.  All three are 0 when the
-    name does not occur there.
+    symbols of that name occurring in the region, whose counters are
+    independent, so they are compared here.  All three are 0 when the name
+    does not occur there.
     """
     rows = [row for row in region_extrema(ann, ann.in_region(region)) if row.name == name]
     if not rows:

@@ -13,15 +13,18 @@ granule-ICN and the per-granule report all fold that one routing.
 
 A granule's region holds exactly the occurrences routed to its subtree:
 every simple statement belongs to exactly one granule, and parameter and
-global occurrences lie outside every function body.  So the per-granule
-report reads each occurrence once, into its granule's per-symbol extrema,
-and builds each region's SI and I by merging those extrema bottom up; it
-never compares spans.
+global occurrences lie outside every function body.  Every fold relies on
+the monotone counters of `cogscope.info` and on occurrence sets in
+occurrence order: I is the sum of each name's last ICN, and SI the sum of
+each symbol's last minus first SICN.  So the per-granule report reads each
+occurrence once, into its granule's first and last values, and builds each
+region's SI and I by merging those bottom up; it never compares spans or
+counter values.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import Record, UndefinedEfficiencyError
 from .granules import Granule, GranuleTree, occurrence_routing
@@ -118,50 +121,44 @@ class GranuleRow(Record):
 def granule_report(tree: GranuleTree, ann: InfoAnnotations, routing: Routing) -> list[GranuleRow]:
     """Per-granule SI/I values, fold contributions, and flat weight x SI rows.
 
-    Each routed occurrence is read once, into its granule's SICN minimum and
-    maximum per symbol and ICN maximum per name; a granule's region merges
-    its own extrema with its children's, which no later row reads again.
+    A granule's own part, its routed occurrences, is read once into each
+    symbol's first and last SICN and each name's last ICN: the routing lists
+    indices in occurrence order, and the counters never fall along a symbol
+    or a name, so these are the extrema and no two counter values are
+    compared.  A region is the granule's own part and its children's
+    regions, merged bottom up in occurrence order (a do-while's own part
+    comes after its children, every other's before): the earliest part gives
+    a symbol's first value, the latest its last value.
     """
-    occs = ann.resolved.occurrences
-    icn, sicn = ann.icn, ann.sicn
+    uids, names, icn, sicn = ann.uids, ann.names, ann.icn, ann.sicn
     direct_si: dict[int, int] = {}  # SI of the occurrences routed to the granule itself
     region: dict[int, tuple[int, int]] = {}  # (SI, I) of the granule's whole region
-    extrema: dict[int, tuple[dict, dict, dict]] = {}  # of each region whose parent is not done
+    # (first index, first SICN by uid, last SICN by uid, last ICN by name) of
+    # each non-empty region whose parent is not done
+    parts: dict[int, tuple[int, dict, dict, dict]] = {}
     for g in reversed(list(tree.walk())):  # each granule after its descendants
-        low: dict[int, int] = {}  # SICN minimum by symbol uid
-        high: dict[int, int] = {}  # SICN maximum by symbol uid
-        top: dict[str, int] = {}  # ICN maximum by name
-        for i in routing[g.id]:
-            occ = occs[i]
-            uid = occ.symbol.uid
-            value = sicn[i]
-            if uid not in low:
-                low[uid] = high[uid] = value
-            elif value < low[uid]:
-                low[uid] = value
-            elif value > high[uid]:
-                high[uid] = value
-            value = icn[i]
-            if value > top.get(occ.name, -1):
-                top[occ.name] = value
-        si = direct_si[g.id] = sum([high[u] - low[u] for u in low])
-        if g.children:
-            for child in g.children:
-                child_low, child_high, child_top = extrema.pop(child.id)
-                for uid, value in child_low.items():
-                    if uid not in low:
-                        low[uid] = value
-                        high[uid] = child_high[uid]
-                    else:
-                        if value < low[uid]:
-                            low[uid] = value
-                        if child_high[uid] > high[uid]:
-                            high[uid] = child_high[uid]
-                for name, value in child_top.items():
-                    if value > top.get(name, -1):
-                        top[name] = value
-            si = sum([high[u] - low[u] for u in low])
-        extrema[g.id] = low, high, top
-        region[g.id] = si, sum(top.values())
+        own = routing[g.id]
+        first = {uids[i]: sicn[i] for i in reversed(own)}
+        last = {uids[i]: sicn[i] for i in own}
+        top = {names[i]: icn[i] for i in own}
+        direct_si[g.id] = sum(last.values()) - sum(first.values())
+        ordered = [parts.pop(c.id) for c in g.children if c.id in parts]
+        if own:
+            ordered.append((own[0], first, last, top))
+        if not ordered:
+            region[g.id] = 0, 0
+            continue
+        if len(ordered) == 1:
+            _, first, last, top = ordered[0]
+        else:  # merge the parts in occurrence order
+            ordered.sort(key=itemgetter(0))
+            first, last, top = {}, {}, {}
+            for _, part_first, _, _ in reversed(ordered):
+                first.update(part_first)
+            for _, _, part_last, part_top in ordered:
+                last.update(part_last)
+                top.update(part_top)
+        parts[g.id] = ordered[0][0], first, last, top
+        region[g.id] = sum(last.values()) - sum(first.values()), sum(top.values())
     _, contributions = tree.fold(lambda g: direct_si[g.id])
     return [GranuleRow(g, *region[g.id], contributions[g.id]) for g in sorted(tree.walk(), key=attrgetter("id"))]

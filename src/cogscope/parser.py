@@ -136,9 +136,13 @@ class _Parser(Checks):
         super().__init__()
         # Lookahead is read as self._lookahead[self.pos + k], k <= 2.  Past
         # the last token every read finds the one END token, whose text
-        # names it in messages and whose span is the end of the input.
-        last_line = tokens[-1][4] if tokens else 1
-        self.end = (END, "end of input", source_len, source_len, last_line, 1)
+        # names it in messages and whose span is the end of the input, located
+        # just past the last token (at 1:1 when there is none).
+        if tokens:
+            _, text, _, _, line, col = tokens[-1]
+            self.end = (END, "end of input", source_len, source_len, line, col + len(text))
+        else:
+            self.end = (END, "end of input", source_len, source_len, 1, 1)
         self._lookahead = [*tokens, self.end, self.end, self.end]
         self.pos = 0
 

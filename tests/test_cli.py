@@ -133,9 +133,11 @@ def test_nesting_limit_is_a_located_parse_error(form, tmp_path, capsys):
 
 
 # Cut-off programs whose end the parser once read past, with a traceback.
+# The end of the input is located just past its last token.
 TRUNCATED = {
-    "for step": ("void main() { for (i = 0; i < 8;", "1:1: unexpected end of input"),
-    "switch case": ("void main() { switch (a) { case 0: { } ", "1:1: expected 'case' or 'default', found 'end of input'"),
+    "for step": ("void main() { for (i = 0; i < 8;", "1:33: unexpected end of input"),
+    "switch case": ("void main() { switch (a) { case 0: { } ", "1:39: expected 'case' or 'default', found 'end of input'"),
+    "expression": ("void main() {\n  int a = (1 +", "2:15: unexpected end of expression"),
 }
 
 
@@ -177,6 +179,32 @@ LOCATED_ERRORS = {
                          "3:19: for step must be an assignment"),
     "print in an expression": ("void main() {\n    int y = print(1);\n}\n",
                                "2:13: print cannot be used in an expression"),
+    "assignment without an operator": ("void main() {\n    int a;\n    a;\n}\n",
+                                       "3:6: expected assignment or call, found ';'"),
+    "operator as an operand": ("void main() {\n    int a = *;\n}\n", "2:13: unexpected token '*' in expression"),
+    "builtin as a function name": ("void print() {\n}\nvoid main() {\n}\n",
+                                   "1:6: cannot define reserved builtin 'print'"),
+    "second function of one name": ("void f() {\n}\nvoid f() {\n}\nvoid main() {\n}\n",
+                                    "3:6: duplicate function 'f'"),
+    "no main": ("void f() {\n}\n", "1:1: program must define exactly one function named 'main'"),
+    "literal as a declared name": ("void main() {\n    int 5;\n}\n", "2:9: expected identifier, found '5'"),
+    "statement cut after its target": ("void main() {\n    a", "2:5: unexpected end of statement"),
+    "call cut after an argument": ("void main() {\n    print(1,", "2:13: unexpected end of expression"),
+    "string as a builtin's argument": ('void main() {\n    read("s");\n}\n',
+                                       "2:10: string literals are only allowed as print arguments"),
+    "string as an initializer": ('void main() {\n    int a = "s";\n}\n',
+                                 "2:13: string literals are only allowed as print arguments"),
+    "statement at top level": ("x = 1;\nvoid main() {\n}\n", "1:1: expected declaration or function, found 'x'"),
+    "name as a case label": (
+        "void main() {\n    int a = 1;\n    switch (a) {\n        case a: {\n        }\n    }\n}\n",
+        "4:14: case label must be an integer literal",
+    ),
+    "brace initializer of a scalar": ("void main() {\n    int a = {1};\n}\n",
+                                      "2:13: brace initializer requires an array declarator"),
+    "undeclared name": ("void main() {\n    print(b);\n}\n", "2:11: unresolved name 'b'"),
+    "undefined function": ("void main() {\n    f();\n}\n", "2:5: call to undefined function 'f'"),
+    "global qualifier without a global": ("void main() {\n    int x = ::x;\n}\n",
+                                          "2:13: '::x' has no global declaration"),
 }
 
 

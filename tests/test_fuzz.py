@@ -1,14 +1,17 @@
-"""Never-crash contract: mutated programs end as an Analysis or a MiniLangError.
+"""Never-crash contract: mutated and small programs end as an Analysis or a MiniLangError.
 
 A seeded, bounded mutation fuzz: generated programs have tokens truncated,
-deleted, duplicated or spliced in from another program.  Every input must
-end as an ``Analysis`` (whose JSON report must be the bytes of
-``json.dumps``) or as a located ``MiniLangError``; anything else fails with a
-reproducer shrunk by dropping tokens.
+deleted, duplicated or spliced in from another program.  And a bounded
+exhaustive one: every string of one or two tokens the lexer knows, in three
+places of a program.  Every input must end as an ``Analysis`` (whose JSON
+report must be the bytes of ``json.dumps``) or as a ``MiniLangError``
+located at a line and column of at least 1; anything else fails, the
+mutations with a reproducer shrunk by dropping tokens.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -16,7 +19,7 @@ import re
 from cogscope.analysis import analyze_source
 from cogscope.errors import MiniLangError
 from cogscope.generator import GeneratorConfig, generate
-from cogscope.lexer import tokenize
+from cogscope.lexer import _OPERATORS, _PUNCTUATION, BUILTINS, KEYWORDS, tokenize
 from cogscope.report import render_json, report_document
 
 PROGRAMS = 300
@@ -50,8 +53,8 @@ def _outcome(source: str) -> str:
     try:
         analysis = analyze_source(source, path="fuzz.ml1")
     except MiniLangError as exc:
-        exc.render("fuzz.ml1")
-        return "error"
+        message = exc.render("fuzz.ml1")
+        return "error" if exc.span.line >= 1 and exc.span.col >= 1 else f"not located: {message}"
     except Exception as exc:  # the contract under test: any other exception breaks it
         return f"{type(exc).__name__}: {exc}"
     try:
@@ -112,4 +115,28 @@ def test_mutated_programs_end_as_analysis_or_located_error():
             raise AssertionError(f"{outcome}\nshrunk reproducer:\n{_shrink(source)}\nfull input:\n{source}")
         outcomes[outcome] += 1
     assert sum(outcomes.values()) == PROGRAMS * MUTATIONS_PER_PROGRAM
+    assert outcomes["analysis"] > 0 and outcomes["error"] > 0, outcomes
+
+
+# Every keyword, builtin, operator and punctuation token, two names, two
+# integers and a string; and three places for a string of them in a program.
+ALPHABET = (*sorted(KEYWORDS), *sorted(BUILTINS), *_OPERATORS, *_PUNCTUATION, "a", "b", "0", "7", '"s"')
+WRAPPERS = (
+    "void main() {{\n    int a = 1;\n    {}\n}}\n",  # after a declaration in main
+    "{}\nvoid main() {{\n}}\n",  # at top level, before main
+    "void main() {{ {} }}\n",  # inside an empty main
+)
+
+
+def test_every_string_of_at_most_two_tokens_ends_as_analysis_or_located_error():
+    assert len(ALPHABET) == len(set(ALPHABET)) == 57
+    strings = [*itertools.product(ALPHABET), *itertools.product(ALPHABET, repeat=2)]
+    outcomes = {"analysis": 0, "error": 0}
+    for wrapper in WRAPPERS:
+        for tokens in strings:
+            source = wrapper.format(" ".join(tokens))
+            outcome = _outcome(source)
+            assert outcome in KEPT, f"{outcome}\ninput:\n{source}"
+            outcomes[outcome] += 1
+    assert sum(outcomes.values()) == 9918
     assert outcomes["analysis"] > 0 and outcomes["error"] > 0, outcomes

@@ -234,7 +234,7 @@ void main() { int a, b = 2, c[]; int i; for (i = 0; i < limit; i += 1) a = i; fo
 """
 
 
-def test_oracle_agreement_spot_checks(fixture_text):
+def test_oracle_agreement_spot_checks(fixture_text, fixtures_dir):
     sources = {n: fixture_text(n) for n in ("eg1.ml1", "eg2.ml1", "eg3.ml1", "p4_loop.ml1")}
     sources["full language"] = FULL_LANGUAGE
     sources["terse forms"] = TERSE_FORMS
@@ -258,10 +258,33 @@ def test_oracle_agreement_spot_checks(fixture_text):
                 assert info_content(ann, ann.in_region(g.region)) == oracle_i(
                     records, g.region.start, g.region.end
                 )
-        for fn in analysis.trees:
+
+    # Granule rows merge each granule's own part with its children's regions,
+    # so check them on every fixture and on generated programs too, among
+    # them a do-while whose own part, its condition, follows its children.
+    sources = {path.name: path.read_text() for path in sorted(fixtures_dir.glob("*.ml1"))}
+    sources["full language"] = FULL_LANGUAGE
+    sources["terse forms"] = TERSE_FORMS
+    rng = random.Random(17)
+    for seed in range(300):
+        config = GeneratorConfig(
+            seed=seed + 170_000,
+            max_statements=rng.randint(3, 42),
+            max_nesting_depth=rng.randint(1, 4),
+            variable_pool_size=rng.randint(2, 8),
+        )
+        sources[f"generated {seed}"] = generate(config)
+    own_part_last = 0
+    for name, source in sources.items():
+        records = replay(parse_source(source))
+        analysis = analyze_source(source)
+        for fn, tree in analysis.trees.items():
+            routing = analysis.routings[fn]
+            own_part_last += sum(g.kind == "REPEAT" and bool(g.children and routing[g.id]) for g in tree.walk())
             for row in analysis.granule_rows(fn):
                 assert row.si == oracle_si(records, row.span_start, row.span_end), (name, row.id)
                 assert row.i == oracle_i(records, row.span_start, row.span_end), (name, row.id)
+    assert own_part_last > 0
 
 
 def test_counters_never_fall_along_a_symbol_or_a_name(fixtures_dir):

@@ -9,6 +9,7 @@ from test_info import FULL_LANGUAGE, TERSE_FORMS
 from cogscope.analysis import analyze_rendered, analyze_source
 from cogscope.errors import DUMMY_SPAN, MiniLangError
 from cogscope.generator import GeneratorConfig, generate
+from cogscope.lexer import tokenize
 from cogscope.parser import MAX_NESTING, parse_source
 from cogscope.render import render
 from cogscope.syntax import Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, walk
@@ -66,7 +67,6 @@ def _comparable(analysis) -> dict:
         "source": str(analysis.source),
         "path": analysis.path,
         "unit": analysis.unit,
-        "tokens": analysis.tokens,
         "occurrences": occurrences,
         "call_graph": resolved.call_graph,
         "stmt_user_callees": sorted((at[k], v) for k, v in resolved.stmt_user_callees.items()),
@@ -90,6 +90,7 @@ def _assert_laid_out(rendered, label) -> None:
     """The tokens, the tree (spans included) and the analysis of the layout
     are those of the text."""
     assert _laid_out(rendered), label
+    assert rendered.tokens == tokenize(str(rendered)), label  # the tokens each analysis counts
     assert _comparable(analyze_rendered(rendered)) == _comparable(analyze_source(str(rendered))), label
 
 
@@ -254,4 +255,5 @@ RETOLD_TREES = {
 @pytest.mark.parametrize("case", sorted(RETOLD_TREES))
 def test_a_tree_the_text_retells_scores_as_the_text(case):
     rendered = render(RETOLD_TREES[case]())
+    assert rendered.tokens == tokenize(str(rendered))
     assert _comparable(analyze_rendered(rendered)) == _comparable(analyze_source(str(rendered)))

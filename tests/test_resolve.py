@@ -17,7 +17,7 @@ from cogscope.info import annotate
 from cogscope.lexer import classify_lines, tokenize
 from cogscope.parser import parse_source
 from cogscope.resolve import call_components, classify_io, resolve
-from cogscope.syntax import CallStmt, Ident
+from cogscope.syntax import CallStmt, Ident, IntLit
 
 
 def _resolved(source: str):
@@ -78,6 +78,22 @@ def test_global_qualifier_without_global_is_an_error():
 def test_call_to_undefined_function_is_an_error():
     with pytest.raises(ResolveError, match="undefined function"):
         _resolved("void main(){nothere(1);}")
+
+
+def test_assignment_to_a_non_variable_is_a_located_error():
+    # The parser reads only a name as a target, so the tree is built by hand:
+    # `a = 1;` with its target replaced by the literal 2, and `b[0] = 1;`
+    # with the subscript's base replaced.
+    for source in ("void main() {\n    int a;\n    a = 1;\n}\n", "void main() {\n    int b[];\n    b[0] = 1;\n}\n"):
+        unit = parse_source(source)
+        assign = unit.function("main").body.stmts[1]
+        if assign.target.__class__ is Ident:
+            assign.target = IntLit(assign.target.span, 2)
+        else:
+            assign.target.base = IntLit(assign.target.base.span, 2)
+        with pytest.raises(ResolveError) as caught:
+            resolve(unit)
+        assert caught.value.render("bad.ml1") == "bad.ml1:3:5: assignment target must be a variable", source
 
 
 # A variable name is checked where the resolver declares it: the parser
@@ -281,7 +297,7 @@ def test_one_analysis_reads_each_token_once_for_its_line_counts(monkeypatch):
     assert len(analysis.unit.functions) == 3
     # classify_lines reads each token once; classify_io takes each
     # function's lines from its records and reads no token.
-    assert counted[0].reads - parse_reads[0] == len(analysis.tokens)
+    assert counted[0].reads - parse_reads[0] == len(counted[0])
     assert analysis.program.loc == 12
 
 

@@ -4,14 +4,18 @@
         --pairs N --seconds S --first-seed K --out BENCH_<PR>.json \\
         [--claim WORKLOAD:METRIC:EXPECTED]
 
-Run it from the root of a checkout.  It checks REV out with
-``git worktree add --detach`` into a temporary directory, and removes that
-worktree at the end.  For each workload and each of N seeds, from K up, it
+Run it from the root of a checkout.  It writes REV's files with
+``git archive`` into a temporary directory (under ``$TMPDIR``), and removes
+that copy at the end.  For each workload and each of N seeds, from K up, it
 runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 once in that tree and once in the working tree, one after the other; the
 working tree runs first on odd seeds, the parent on even ones.  Then it runs
 one traced pair (``--trace 1``) per workload on seed K + N.  Choose K so that
-no seed was used while the change was written.
+no seed was used while the change was written.  Last, it times acceptance
+criterion 5's command, ``cogscope weyuker --seed 1 --trials 10000 --metrics
+escim,loc,mccm,cpcm --format json``, three times per tree in a fresh
+interpreter, in rounds that alternate which tree runs first as the pairs
+do, and keeps each run's wall time, exit status and stdout sha256.
 
 The output has the keys of the earlier ``BENCH_*.json`` files: every run's
 last JSON line as printed, and per workload and end-to-end metric each
@@ -25,6 +29,7 @@ under ``perfbench/``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -32,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +70,21 @@ def _pair(trees: dict[str, Path], workload: str, seed: int, seconds: int, trace:
             shown = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
             print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr)
     return runs
+
+
+CRITERION_5 = ("weyuker", "--seed", "1", "--trials", "10000", "--metrics", "escim,loc,mccm,cpcm", "--format", "json")
+CRITERION_5_ROUNDS = 3
+
+
+def _criterion_5(tree: Path, side: str, position: int) -> dict:
+    """One timed run of criterion 5's command with the `cogscope` of `tree`."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "cogscope.cli", *CRITERION_5], cwd=tree, env=env, capture_output=True)
+    wall = time.monotonic() - started
+    print(f"criterion 5 {side}: {wall:.2f} s, exit {proc.returncode}", file=sys.stderr)
+    return {"tree": side, "order": ("first", "second")[position], "wall_s": wall, "exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -125,17 +146,20 @@ def main(argv: list[str] | None = None) -> int:
     traces: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
         parent_tree = Path(scratch) / "tree"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for workload in args.workload:
-                for k in range(args.pairs):
-                    seed = args.first_seed + k
-                    runs += _pair(trees, workload, seed, args.seconds, 0, change_first=seed % 2 == 1)
-            for workload in args.workload:
-                traces += _pair(trees, workload, args.first_seed + args.pairs, args.seconds, 1, change_first=True)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in args.workload:
+            for k in range(args.pairs):
+                seed = args.first_seed + k
+                runs += _pair(trees, workload, seed, args.seconds, 0, change_first=seed % 2 == 1)
+        for workload in args.workload:
+            traces += _pair(trees, workload, args.first_seed + args.pairs, args.seconds, 1, change_first=True)
+        criterion_5 = []
+        for k in range(CRITERION_5_ROUNDS):
+            order = ("change", "parent") if k % 2 == 1 else ("parent", "change")
+            criterion_5 += [_criterion_5(trees[side], side, position) for position, side in enumerate(order)]
 
     summary = {w: summarize(runs, w, spec["end_to_end"]) for w in args.workload}
     claim = None
@@ -148,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     document = {
         "description": (
             f"tools/bench_pair.py: perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0 "
-            f"on the parent commit (a detached worktree) and on the working tree, for seeds {seeds} of each "
+            f"on the parent commit (a git archive copy) and on the working tree, for seeds {seeds} of each "
             "workload, alternating which runs first (the change first on odd seeds); each run's last JSON "
             "line is kept as printed. Summary: median and quartiles (inclusive method) over the pairs; "
             "change_better_in counts pairs; median_gap is the parent median minus the change median for a "
@@ -169,6 +193,18 @@ def main(argv: list[str] | None = None) -> int:
             "description": f"perfbench/run.py --trace 1 --seconds {args.seconds} on seed "
                            f"{args.first_seed + args.pairs}, the change first, then the parent.",
             "runs": traces,
+        },
+        "criterion5": {
+            "description": (
+                f"python -m cogscope.cli {' '.join(CRITERION_5)} in a fresh interpreter with PYTHONPATH set to "
+                f"each tree's src, {CRITERION_5_ROUNDS} rounds after the pairs, the parent first in even rounds; "
+                "wall_s is the subprocess's wall time, interpreter start included."
+            ),
+            "median_wall_s": {
+                side: statistics.median(run["wall_s"] for run in criterion_5 if run["tree"] == side)
+                for side in ("parent", "change")
+            },
+            "runs": criterion_5,
         },
         "extra": {"argv": sys.argv[1:] if argv is None else argv},
     }
