@@ -15,7 +15,9 @@ them to one-statement blocks, so every Block introduces exactly one scope.
 String literals outside print arguments, reserved or duplicate function
 names, nesting deeper than MAX_NESTING and a missing main are rejected at
 parse time; the checks on function names, nesting and main are `Checks`,
-which the renderer makes too.  Variable names are the resolver's to check
+which the renderer makes too.  A chain of operators is read on an explicit
+stack, and a run of `(` in one frame, so the canonical text of a chain of
+any length reads back.  Variable names are the resolver's to check
 (resolve.py), in its one scope stack.
 """
 
@@ -79,10 +81,12 @@ _COMPOUND_ASSIGN = ("+=", "-=", "*=", "/=", "%=")
 
 # The deepest nesting a program may have.  A function body is level 1; every
 # block or single-statement body, every `else if`, and in an expression every
-# parenthesis pair, call argument list, subscript and unary operator opens
-# one more level.  The parser and the walks over its tree recurse at most a
-# few frames per level, so any accepted program stays well inside Python's
-# default recursion limit; a deeper one is a located ParseError.
+# call argument list, subscript, unary operator and parenthesis pair opens
+# one more level, except a `(` right after a `(`: its group is the first
+# operand of the enclosing one, on the left spine that the parser and every
+# walk go down without recursing.  They recurse at most a few frames per
+# level, so any accepted program stays well inside Python's default
+# recursion limit; a deeper one is a located ParseError.
 MAX_NESTING = 100
 
 # The kind of the token that stands for the end of the input.
@@ -504,13 +508,15 @@ class _Parser(Checks):
 
     # ---------- expressions ----------
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self, node: Expr | None = None) -> Expr:
         # Precedence parsing on an explicit stack of (precedence, operator,
         # left operand), so that a chain of operators costs no recursion.  All
         # binary operators associate left: an operator first reduces every
-        # pending one of the same or tighter precedence.
+        # pending one of the same or tighter precedence.  `node`, when given,
+        # is the first operand, already read.
         pending: list[tuple[int, str, Expr]] = []
-        node = self.parse_unary()
+        if node is None:
+            node = self.parse_unary()
         while True:
             op = self._lookahead[self.pos][1]
             prec = _BIN_PREC.get(op)
@@ -531,8 +537,11 @@ class _Parser(Checks):
             operand = self.parse_unary()
             self.depth -= 1
             return Unary(Span(tok[2], operand.span.end, tok[4], tok[5]), tok[1], operand)
-        node = self.parse_primary()
-        while self._lookahead[self.pos][1] == "[":  # postfix subscripts
+        return self.parse_postfix(self.parse_primary())
+
+    def parse_postfix(self, node: Expr) -> Expr:
+        """`node` and the subscripts after it."""
+        while self._lookahead[self.pos][1] == "[":
             self.nest(self.advance())
             index = self.parse_expr()
             close = self.expect("]")
@@ -546,10 +555,21 @@ class _Parser(Checks):
             raise ParseError("unexpected end of expression", token_span(tok))
         kind, text = tok[0], tok[1]
         if text == "(":
-            self.nest(self.advance())
-            node = self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
+            # A run of `(` is read in this one frame and opens one nesting
+            # level, or none right after a `(` (see MAX_NESTING): each later
+            # group of the run is the first operand of the group around it.
+            opens = self._lookahead[self.pos - 1][1] != "("
+            if opens:
+                self.nest(tok)
+            run = 0
+            while self._lookahead[self.pos][1] == "(":
+                self.pos += 1
+                run += 1
+            node = None
+            for _ in range(run):
+                node = self.parse_expr(None if node is None else self.parse_postfix(node))
+                self.expect(")")
+            self.depth -= opens
             return node
         if kind == "integer-literal":
             self.pos += 1

@@ -10,23 +10,23 @@ it returns a `Rendered`, the text together with its tokens (the lexer's
 tuples) and a copy of the tree whose spans are those the parser gives that
 text.  So a program that a transform builds is scored without being lexed
 and parsed again (analysis.analyze_rendered).  The layout makes the
-parser's own checks (parser.Checks) on the way; a tree the parser would
-reject from its text, or would read back as a different tree, gets no
-layout, and its tokens and tree come from lexing and parsing the text when
-first read.  Variable names
-are not the parser's to check: a tree with a variable named twice in one
-scope, or named as a builtin, is laid out, and resolving the layout raises
-the resolver's error, as resolving the parse of its text does.
+parser's own checks (parser.Checks) on the way, and counts nesting levels
+as the parser does, one per run of `(`.  So render() lays a tree out or
+raises: the parser's ParseError, located in the canonical text, for a tree
+whose text the parser rejects, and ValueError for a tree that no canonical
+text reads back as.  Variable names are not the parser's to check: a tree
+with a variable named twice in one scope, or named as a builtin, is laid
+out, and resolving the layout raises the resolver's error, as resolving the
+parse of its text does.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
-from .errors import ParseError, Span
-from .lexer import BUILTINS, KEYWORDS, token_span, tokenize
-from .parser import _BIN_PREC, _COMPOUND_ASSIGN, Checks, parse
+from .errors import Span
+from .lexer import BUILTINS, KEYWORDS, token_span
+from .parser import _BIN_PREC, _COMPOUND_ASSIGN, Checks
 from .syntax import (
     ArrayInit,
     Assign,
@@ -69,24 +69,19 @@ class Rendered(str):
     """Canonical program text, with its layout.
 
     ``tokens`` equals ``tokenize(text)``, the same ``(kind, text, start,
-    end, line, col)`` tuples, and ``unit`` is a fresh copy of the
-    rendered tree with the spans that ``parse`` gives the text.  Both come
-    from the renderer; for a tree without a layout they come from lexing
-    and parsing the text on first read, so ``unit`` then raises the
-    parser's error.  A Rendered is a str for every other purpose.
+    end, line, col)`` tuples, and ``unit`` is a fresh copy of the rendered
+    tree with the spans that ``parse`` gives the text.  The renderer sets
+    both as it writes the text: nothing is lexed or parsed later.  A
+    Rendered is a str for every other purpose.
     """
 
-    @cached_property
-    def tokens(self) -> list[tuple]:
-        return tokenize(self)
-
-    @cached_property
-    def unit(self) -> SourceUnit:
-        return parse(self.tokens, len(self))
+    tokens: list[tuple]
+    unit: SourceUnit
 
 
-class _Inexact(Exception):
-    """The parser would read the text back as a different tree, or not at all."""
+def _inexact(what: str) -> ValueError:
+    """The error for a tree whose canonical text the parser would read back as another tree, or not at all."""
+    return ValueError(f"no canonical text reads back as {what}")
 
 
 class _Layout(Checks):
@@ -109,9 +104,6 @@ class _Layout(Checks):
         self.line = 1
         self.col_base = -1  # a token's column is its offset minus this
 
-    def inexact(self) -> None:
-        raise _Inexact
-
     def tok(self, kind: str, text: str, space: str = "") -> tuple:
         """Write one token after `space`; return it, as the lexer would."""
         start = self.offset + len(space)
@@ -121,9 +113,20 @@ class _Layout(Checks):
         self._write(space + text)
         return token
 
+    def parens(self, space: str, run: int) -> int:
+        """A run of `run` groups' `(`, and the nesting levels it opens, as the
+        parser reads it: none right after a `(`, else one."""
+        opens = self.tokens[-1][1] != "("
+        first = self.tok(PUNCT, "(", space)
+        for _ in range(run - 1):
+            self.tok(PUNCT, "(")
+        if opens:
+            self.nest(first)
+        return opens
+
     def name(self, name: str, space: str = "") -> tuple:
         if name in KEYWORDS or not name.isidentifier() or not name.isascii():
-            self.inexact()
+            raise _inexact(f"the name {name!r}")
         return self.tok(IDENT, name, space)
 
     def newline(self, depth: int, blank: bool = False) -> None:
@@ -161,7 +164,7 @@ class _Layout(Checks):
 
     def function(self, fn: FunctionDef) -> FunctionDef:
         if fn.ret_type not in ("void", "int"):
-            self.inexact()
+            raise _inexact(f"the return type {fn.ret_type!r}")
         start = self.tok(KEYWORD, fn.ret_type)
         self.define(self.name(fn.name, " "))
         self.tok(PUNCT, "(")
@@ -254,7 +257,7 @@ class _Layout(Checks):
     def decl(self, decl: Decl) -> Decl:
         """`int` and the declarators, through the `;`."""
         if not decl.declarators:
-            self.inexact()
+            raise _inexact("a declaration of nothing")
         start = self.tok(KEYWORD, "int")
         copies = []
         for d in decl.declarators:
@@ -269,7 +272,7 @@ class _Layout(Checks):
                 self.tok(OPERATOR, "=", " ")
                 if d.init.__class__ is ArrayInit:
                     if not d.is_array:
-                        self.inexact()
+                        raise _inexact("a brace initializer of a scalar")
                     init = self.array_init(d.init, " ", True)
                 else:
                     init = self.expr(d.init, " ", True)
@@ -285,7 +288,7 @@ class _Layout(Checks):
             self.tok(OPERATOR, op)
             return Assign(target.span, target, op, None)
         if op not in _ASSIGN_OPS:
-            self.inexact()
+            raise _inexact(f"the assignment operator {op!r}")
         self.tok(OPERATOR, op, " ")
         return Assign(target.span, target, op, self.expr(stmt.value, " ", True))
 
@@ -293,7 +296,7 @@ class _Layout(Checks):
         """A name or one subscript of a name: all the parser takes before an assignment operator."""
         ident = target.base if target.__class__ is Subscript else target
         if ident.__class__ is not Ident or ident.name in BUILTINS:
-            self.inexact()  # a builtin's name starts a call statement
+            raise _inexact("an assignment to this target")  # a builtin's name starts a call statement
         return self.expr(target, space)
 
     def for_loop(self, stmt: For, depth: int) -> For:
@@ -329,9 +332,8 @@ class _Layout(Checks):
             self.tok(KEYWORD, "case")
             value = case.literal.value
             if value.__class__ is not int:
-                self.inexact()
-                literal = IntLit(token_span(self.tok(INT, str(value), " ")), value)
-            elif value < 0:
+                raise _inexact(f"the case label {value!r}")
+            if value < 0:
                 self.tok(OPERATOR, "-", " ")
                 literal = IntLit(token_span(self.tok(INT, str(-value))), value)
             else:
@@ -365,16 +367,16 @@ class _Layout(Checks):
         if cls is IntLit:
             value = expr.value
             if value.__class__ is not int:
-                self.inexact()
+                raise _inexact(f"the literal {value!r}")
             if value >= 0:
                 return IntLit(token_span(self.tok(INT, str(value), space)), value)
             # `(-5)`: the parser reads a minus applied to 5
-            self.nest(self.tok(PUNCT, "(", space))
+            levels = self.parens(space, 1)
             op = self.tok(OPERATOR, "-")
             self.nest(op)
             operand = IntLit(token_span(self.tok(INT, str(-value))), -value)
             self.tok(PUNCT, ")")
-            self.depth -= 2
+            self.depth -= 1 + levels
             return Unary(Span(op[2], operand.span.end, op[4], op[5]), "-", operand)
         if cls is Binary:
             return self.binary(expr, space, top)
@@ -382,7 +384,7 @@ class _Layout(Checks):
             op = expr.op
             operand = expr.operand
             if op != "!" and (op != "-" or operand.__class__ is Unary and operand.op == "-"):
-                self.inexact()  # not a prefix operator, or `- -x`, which lexes as `--x`
+                raise _inexact(f"this {op!r}")  # not a prefix operator, or `- -x`, which lexes as `--x`
             start = self.tok(OPERATOR, op, space)
             self.nest(start)
             copy = self.expr(operand)
@@ -390,7 +392,7 @@ class _Layout(Checks):
             return Unary(Span(start[2], copy.span.end, start[4], start[5]), op, copy)
         if cls is Subscript:
             if expr.base.__class__ not in (Ident, IntLit, Binary, Subscript, CallExpr):
-                self.inexact()  # `-a[i]` subscripts `a`, not `-a`
+                raise _inexact("a subscript of a prefix operation")  # `-a[i]` subscripts `a`, not `-a`
             base = self.expr(expr.base, space)
             self.nest(self.tok(PUNCT, "["))
             index = self.expr(expr.index)
@@ -401,12 +403,8 @@ class _Layout(Checks):
             start = self.name(expr.callee, space)
             args = self.call_args(expr.callee, expr.args, top)
             return CallExpr(self.span_from(start), expr.callee, args)
-        if cls is StrLit:
-            self.inexact()  # a string is only a print argument
-            return StrLit(token_span(self.tok(STRING, expr.raw, space)), expr.raw)
-        if cls is ArrayInit:
-            self.inexact()  # braces only initialize an array declarator
-            return self.array_init(expr, space, top)
+        if cls is StrLit or cls is ArrayInit:  # a string goes in a print call, braces in a declarator
+            raise _inexact(f"a {cls.__name__} inside an expression")
         raise TypeError(f"unknown expression node {type(expr).__name__}")
 
     def binary(self, expr: Binary, space: str, top: bool) -> Expr:
@@ -419,20 +417,18 @@ class _Layout(Checks):
             chain.append(lhs)
             lhs = lhs.lhs
         opened = len(chain) - top  # at the top the outermost goes without parentheses
-        for _ in range(opened):
-            self.nest(self.tok(PUNCT, "(", space))
-            space = ""
-        copy = self.expr(lhs, space)
+        levels = self.parens(space, opened) if opened else 0
+        copy = self.expr(lhs, "" if opened else space)
         for node in reversed(chain):
             if node.op not in _BIN_PREC:
-                self.inexact()
+                raise _inexact(f"the binary operator {node.op!r}")
             self.tok(OPERATOR, node.op, " ")
             rhs = self.expr(node.rhs, " ")
             copy = Binary(Span(copy.span.start, rhs.span.end, copy.span.line, copy.span.col), node.op, copy, rhs)
             if opened:
                 self.tok(PUNCT, ")")
-                self.depth -= 1
                 opened -= 1
+        self.depth -= levels
         return copy
 
     def call_args(self, callee: str, args: list[Expr], top: bool) -> list[Expr]:
@@ -445,7 +441,7 @@ class _Layout(Checks):
             space = " " if copies else ""
             if arg.__class__ is StrLit:
                 if callee != "print" or not _STRING.match(arg.raw):
-                    self.inexact()
+                    raise _inexact(f"the {callee} argument {arg.raw}")
                 copies.append(StrLit(token_span(self.tok(STRING, arg.raw, space)), arg.raw))
             else:
                 copies.append(self.expr(arg, space, top))
@@ -464,31 +460,11 @@ class _Layout(Checks):
         return ArrayInit(self.span_from(start), elements)
 
 
-class _Text(_Layout):
-    """The same writer with every check off: the text of any tree."""
-
-    def inexact(self) -> None:
-        pass
-
-    def nest(self, token: tuple) -> None:
-        pass
-
-    def define(self, token: tuple) -> None:
-        pass
-
-    def one_main(self, functions: list[FunctionDef]) -> None:
-        pass
-
-
 def render(unit: SourceUnit) -> Rendered:
-    """Render a SourceUnit to canonical MiniLang text, laid out."""
+    """Render a SourceUnit to canonical MiniLang text, laid out; raise the
+    parser's ParseError or a ValueError for a tree it refuses (see above)."""
     layout = _Layout()
-    try:
-        copy = layout.source_unit(unit)
-    except (ParseError, _Inexact):
-        layout = _Text()
-        layout.source_unit(unit)
-        return Rendered("".join(layout.parts))
+    copy = layout.source_unit(unit)
     text = Rendered("".join(layout.parts))
     text.tokens = layout.tokens
     text.unit = copy

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DUMMY_SPAN
+from .errors import DUMMY_SPAN, ResolveError
 from .lexer import BUILTINS, KEYWORDS
 from .parser import parse_source
 from .render import Rendered, render
@@ -145,7 +145,7 @@ def permute(program: str, seed: int) -> Rendered:
         text = render(unit)
         try:
             resolve(text.unit)
-        except Exception:
+        except ResolveError:  # a use shuffled ahead of its declaration
             continue
         return text
     main.body.stmts = stmts

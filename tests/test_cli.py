@@ -102,7 +102,7 @@ def _deep_program(body: str) -> str:
 # at which its deepest point is exactly MAX_NESTING levels: the function body
 # is level 1, and a call's argument list or an else-if's block adds one more.
 NESTED_FORMS = {
-    "parentheses": (lambda n: _deep_program("x = " + "(" * n + "1" + ")" * n + ";\n"), -1),
+    "parentheses": (lambda n: _deep_program("x = " + "1 + (" * n + "1" + ")" * n + ";\n"), -1),
     "ifs": (lambda n: _deep_program("if (x) {\n" * n + "x = 2;\n" + "}\n" * n), -1),
     "whiles around a call": (lambda n: _deep_program("while (x) {\n" * n + "f(x);\n" + "}\n" * n), -2),
     "else-if chain": (lambda n: _deep_program("if (x) {\n}" + " else if (x) {\n  x = 2;\n}" * n + "\n"), -2),

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from _checks import same_structure
 from test_info import FULL_LANGUAGE, TERSE_FORMS
 
 from cogscope.analysis import analyze_rendered, analyze_source
-from cogscope.errors import DUMMY_SPAN, MiniLangError
+from cogscope.cli import main
+from cogscope.errors import DUMMY_SPAN, MiniLangError, ParseError
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.lexer import tokenize
 from cogscope.parser import MAX_NESTING, parse_source
 from cogscope.render import render
-from cogscope.syntax import Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, walk
+from cogscope.syntax import ArrayInit, Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, structure_key, walk
 from cogscope.transforms import _collect_names, concat, rename
 
 
@@ -49,6 +51,13 @@ def test_round_trip_generated_corpus():
 # ---------- the layout: render's tokens and tree are the parser's ----------
 
 
+def _flat_tree(unit) -> tuple:
+    """The tree, spans included, as keys that compare without recursing per
+    node, so a 2000-term sum compares too."""
+    spans = [value for node in walk(unit) for name, value in vars(node).items() if name in ("span", "name_span")]
+    return structure_key(unit), spans
+
+
 def _comparable(analysis) -> dict:
     """Every field of an Analysis, node identities replaced by walk positions."""
     at = {id(node): k for k, node in enumerate(walk(analysis.unit))}
@@ -66,7 +75,7 @@ def _comparable(analysis) -> dict:
     return {
         "source": str(analysis.source),
         "path": analysis.path,
-        "unit": analysis.unit,
+        "unit": _flat_tree(analysis.unit),
         "occurrences": occurrences,
         "call_graph": resolved.call_graph,
         "stmt_user_callees": sorted((at[k], v) for k, v in resolved.stmt_user_callees.items()),
@@ -80,28 +89,24 @@ def _comparable(analysis) -> dict:
     }
 
 
-def _laid_out(rendered) -> bool:
-    """Whether the renderer set the tokens and tree, rather than leaving
-    them to be lexed and parsed from the text when first read."""
-    return "tokens" in vars(rendered) and "unit" in vars(rendered)
-
-
 def _assert_laid_out(rendered, label) -> None:
     """The tokens, the tree (spans included) and the analysis of the layout
     are those of the text."""
-    assert _laid_out(rendered), label
     assert rendered.tokens == tokenize(str(rendered)), label  # the tokens each analysis counts
     assert _comparable(analyze_rendered(rendered)) == _comparable(analyze_source(str(rendered))), label
 
 
 def _layout_programs():
-    """The fixtures, the two full-language programs, and generated programs."""
+    """The fixtures, the two full-language programs, two long sums, and
+    generated programs."""
     from conftest import FIXTURES
 
     for path in sorted(FIXTURES.glob("*.ml1")):
         yield path.name, path.read_text()
     yield "full language", FULL_LANGUAGE
     yield "terse forms", TERSE_FORMS
+    for terms in (103, 2000):  # canonical text: one `(` per inner operation, in one run
+        yield f"sum of {terms}", _sum(terms)
     rng = random.Random(11)
     for index in range(2000):
         config = GeneratorConfig(
@@ -115,7 +120,7 @@ def _layout_programs():
 
 def test_layout_equals_the_parse_of_the_text():
     programs = [(label, parse_source(text)) for label, text in _layout_programs()]
-    assert len(programs) == 2010
+    assert len(programs) == 2012
     rng = random.Random(12)
     for k, (label, unit) in enumerate(programs):
         _assert_laid_out(render(unit), label)
@@ -126,6 +131,41 @@ def test_layout_equals_the_parse_of_the_text():
         rng.shuffle(targets)
         _assert_laid_out(rename(unit, {a: f"r{i}_{b}" for i, (a, b) in enumerate(zip(names, targets))}),
                          f"rename of {label}")
+
+
+# Deep expressions, each the one deep part of a main.  A sum's canonical
+# text opens one `(` per inner operation, all in one run; a run of `(` opens
+# one nesting level at most, so these read back.
+_TERMS = 2000
+_CANONICAL_SUM = "(" * (_TERMS - 2) + "1" + " + 1)" * (_TERMS - 2) + " + 1"
+DEEP_EXPRESSIONS = {
+    "sum": "int a = " + " + ".join(["1"] * _TERMS) + ";",
+    "parenthesized sum": f"int a = {_CANONICAL_SUM};",
+    "call argument": f"print({_CANONICAL_SUM});",
+    "if condition": f"int a = 0;\n    if ({_CANONICAL_SUM}) {{\n        a = 1;\n    }}",
+    "5000 parentheses": "int a = " + "(" * 5000 + "1" + ")" * 5000 + ";",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_EXPRESSIONS))
+def test_a_deep_expression_goes_through_every_walk(case):
+    assert _TERMS > sys.getrecursionlimit()
+    source = "void main() {\n    " + DEEP_EXPRESSIONS[case] + "\n}\n"
+    unit = parse_source(source)
+    analyze_source(source)
+    rendered = render(unit)
+    assert structure_key(parse_source(rendered)) == structure_key(unit)
+    _assert_laid_out(rendered, f"render of {case}")
+    _assert_laid_out(rename(unit, {"a": "b"}), f"rename of {case}")
+    _assert_laid_out(concat(unit, unit), f"concat of {case}")
+
+
+def test_a_right_nested_sum_of_2000_levels_is_a_located_error(tmp_path, capsys):
+    # each `(` follows a `+`, so each opens a level: the 100th is the body's 101st
+    path = tmp_path / "right.ml1"
+    path.write_text("void main() {\n    int a = " + "1 + (" * _TERMS + "1" + ")" * _TERMS + ";\n}\n")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{path}:2:512: nesting deeper than {MAX_NESTING} levels\n")
 
 
 def _tree(source: str, edit):
@@ -148,40 +188,80 @@ def _sum(terms: int) -> str:
     return "void main() {\n    int a = " + " + ".join(["1"] * terms) + ";\n}\n"
 
 
-# Trees that render writes but that the parser rejects from the text, one per
-# check the parser makes on a well-formed program, and a few whose text it
-# would read back as another tree or not at all.
+# Trees that render refuses.  A tree whose text the parser would reject for
+# one of its checks on a well-formed program raises the parser's error,
+# located in the canonical text (given here as "line:col message"); a tree
+# that the parser would read back from any text as another tree, or not at
+# all, raises ValueError.
 INVALID_TREES = {
-    "defined builtin": lambda: _tree(
+    "defined builtin": (lambda: _tree(
         "void f() {\n}\n\nvoid main() {\n}\n",
-        lambda u: _set(u.functions[0], name="print")),
-    "missing main": lambda: _tree("void main() {\n}\n", lambda u: _set(u.functions[0], name="start")),
-    "no function": lambda: _tree("int g;\n\nvoid main() {\n}\n", lambda u: u.functions.clear()),
-    "duplicate main": lambda: _tree(
-        "void f() {\n}\n\nvoid main() {\n}\n",
-        lambda u: _set(u.functions[0], name="main")),
-    "duplicate function": lambda: _tree(
-        "void f() {\n}\n\nvoid g() {\n}\n\nvoid main() {\n}\n",
-        lambda u: _set(u.functions[1], name="f")),
-    "nested blocks": lambda: _tree(
+        lambda u: _set(u.functions[0], name="print")), "1:6 cannot define reserved builtin 'print'"),
+    "missing main": (lambda: _tree(
         "void main() {\n}\n",
-        lambda u: _main_stmts(u).append(_nested_blocks(MAX_NESTING))),
-    "parenthesized sum": lambda: parse_source(_sum(103)),
-    "string outside print": lambda: _tree(
+        lambda u: _set(u.functions[0], name="start")), "1:1 program must define exactly one function named 'main'"),
+    "no function": (lambda: _tree(
+        "int g;\n\nvoid main() {\n}\n",
+        lambda u: u.functions.clear()), "1:1 program must define exactly one function named 'main'"),
+    "duplicate main": (lambda: _tree(
+        "void f() {\n}\n\nvoid main() {\n}\n",
+        lambda u: _set(u.functions[0], name="main")), "4:6 duplicate function 'main'"),
+    "duplicate function": (lambda: _tree(
+        "void f() {\n}\n\nvoid g() {\n}\n\nvoid main() {\n}\n",
+        lambda u: _set(u.functions[1], name="f")), "4:6 duplicate function 'f'"),
+    "nested blocks": (lambda: _tree(
+        "void main() {\n}\n",
+        lambda u: _main_stmts(u).append(_nested_blocks(MAX_NESTING))), "101:401 nesting deeper than 100 levels"),
+    "string outside print": (lambda: _tree(
         'void main() {\n    print("s");\n}\n',
-        lambda u: _set(_main_stmts(u)[0], callee="read")),
-    "brace initializer of a scalar": lambda: _tree(
+        lambda u: _set(_main_stmts(u)[0], callee="read")), ValueError),
+    "brace initializer of a scalar": (lambda: _tree(
         "void main() {\n    int a[] = {1};\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0], is_array=False)),
-    "keyword as a name": lambda: _tree(
+        lambda u: _set(_main_stmts(u)[0].declarators[0], is_array=False)), ValueError),
+    "keyword as a name": (lambda: _tree(
         "void main() {\n    int a;\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0], name="while")),
-    "not a name": lambda: _tree(
+        lambda u: _set(_main_stmts(u)[0].declarators[0], name="while")), ValueError),
+    "not a name": (lambda: _tree(
         "void main() {\n    int a;\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0], name="a$")),
-    "minus minus": lambda: _tree(
+        lambda u: _set(_main_stmts(u)[0].declarators[0], name="a$")), ValueError),
+    "minus minus": (lambda: _tree(
         "void main() {\n    int a = -b;\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0].init, operand=Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")))),
+        lambda u: _set(_main_stmts(u)[0].declarators[0].init,
+                       operand=Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")))), ValueError),
+    "subscript of a negation": (lambda: _tree(
+        "void main() {\n    int b[] = {1};\n    int a = b[0];\n}\n",
+        lambda u: _set(_main_stmts(u)[1].declarators[0], init=Subscript(
+            DUMMY_SPAN, Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")), IntLit(DUMMY_SPAN, 0)))), ValueError),
+    "return type": (lambda: _tree(
+        "void main() {\n}\n",
+        lambda u: _set(u.functions[0], ret_type="char")), ValueError),
+    "declaration of nothing": (lambda: _tree(
+        "void main() {\n    int a;\n}\n",
+        lambda u: _set(_main_stmts(u)[0], declarators=[])), ValueError),
+    "assignment operator": (lambda: _tree(
+        "void main() {\n    int a;\n    a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[1], op="<<=")), ValueError),
+    "assignment to a literal": (lambda: _tree(
+        "void main() {\n    int a;\n    a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[1], target=IntLit(DUMMY_SPAN, 0))), ValueError),
+    "assignment to a builtin": (lambda: _tree(
+        "void main() {\n    int a;\n    a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[1].target, name="read")), ValueError),
+    "case label not an int": (lambda: _tree(
+        "void main() {\n    int a = 0;\n    switch (a) {\n        case 0: {\n        }\n    }\n}\n",
+        lambda u: _set(_main_stmts(u)[1].cases[0].literal, value=0.5)), ValueError),
+    "literal not an int": (lambda: _tree(
+        "void main() {\n    int a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[0].declarators[0].init, value=True)), ValueError),
+    "string in an expression": (lambda: _tree(
+        "void main() {\n    int a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[0].declarators[0], init=StrLit(DUMMY_SPAN, '"s"'))), ValueError),
+    "braces in an expression": (lambda: _tree(
+        "void main() {\n    int a;\n    a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[1], value=ArrayInit(DUMMY_SPAN, [IntLit(DUMMY_SPAN, 1)]))), ValueError),
+    "binary operator": (lambda: _tree(
+        "void main() {\n    int a = 1 + 2;\n}\n",
+        lambda u: _set(_main_stmts(u)[0].declarators[0].init, op="**")), ValueError),
 }
 
 
@@ -190,6 +270,26 @@ def _nested_blocks(depth: int) -> Block:
     for _ in range(depth - 1):
         block = Block(DUMMY_SPAN, [block])
     return block
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_TREES))
+def test_a_rejected_tree_raises_the_parsers_error(case):
+    build, expected = INVALID_TREES[case]
+    tree = build()
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="^no canonical text reads back as "):
+            render(tree)
+        return
+    with pytest.raises(ParseError) as error:
+        render(tree)
+    assert f"{error.value.span.line}:{error.value.span.col} {error.value.message}" == expected
+
+
+def test_a_node_of_no_known_class_is_a_type_error():
+    for kind, edit in (("statement", lambda u: _main_stmts(u).append(object())),
+                       ("expression", lambda u: _set(_main_stmts(u)[0].declarators[0], init=object()))):
+        with pytest.raises(TypeError, match=f"^unknown {kind} node object$"):
+            render(_tree("void main() {\n    int a = 1;\n}\n", edit))
 
 
 def _assert_same_error(rendered) -> None:
@@ -201,13 +301,6 @@ def _assert_same_error(rendered) -> None:
     assert type(from_layout.value) is type(from_text.value)
     assert from_layout.value.render() == from_text.value.render()
     assert from_layout.value.span == from_text.value.span
-
-
-@pytest.mark.parametrize("case", sorted(INVALID_TREES))
-def test_a_rejected_tree_raises_the_parsers_error(case):
-    rendered = render(INVALID_TREES[case]())
-    assert not _laid_out(rendered)
-    _assert_same_error(rendered)
 
 
 # Trees whose one error is a variable name, which the resolver rejects: the
@@ -227,9 +320,7 @@ NAME_ERROR_TREES = {
 
 @pytest.mark.parametrize("case", sorted(NAME_ERROR_TREES))
 def test_a_tree_the_resolver_rejects_is_laid_out_and_raises_its_error(case):
-    rendered = render(NAME_ERROR_TREES[case]())
-    assert _laid_out(rendered)
-    _assert_same_error(rendered)
+    _assert_same_error(render(NAME_ERROR_TREES[case]()))
 
 
 # Trees the parser takes from their text, but where the tree is not what
@@ -242,10 +333,6 @@ RETOLD_TREES = {
     "negative literal": lambda: _tree(
         "void main() {\n    int a = 0;\n    a = a - 1;\n}\n",
         lambda u: _set(_main_stmts(u)[1].value, rhs=IntLit(DUMMY_SPAN, -1))),
-    "subscript of a negation": lambda: _tree(
-        "void main() {\n    int b[] = {1};\n    int a = b[0];\n}\n",
-        lambda u: _set(_main_stmts(u)[1].declarators[0], init=Subscript(
-            DUMMY_SPAN, Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")), IntLit(DUMMY_SPAN, 0)))),
     "for with a call for initializer": lambda: _tree(
         "void main() {\n    int i;\n    for (i = 0; i < 2; i++) {\n    }\n}\n",
         lambda u: _set(_main_stmts(u)[1], init=CallStmt(DUMMY_SPAN, "print", [StrLit(DUMMY_SPAN, '"x"')]))),

@@ -258,9 +258,14 @@ def test_transforms_of_a_2000_term_sum_do_not_recurse_per_operator():
     unit = parse_source(source)
     # left-deep: each operator but the outermost in its own parentheses
     expr = "(" * (terms - 2) + "1" + " + 1)" * (terms - 2) + " + 1"
-    assert render(unit) == f"void main() {{\n    int a = {expr};\n}}\n"
-    assert rename(unit, {"a": "b"}) == f"void main() {{\n    int b = {expr};\n}}\n"
-    assert concat(unit, unit) == f"void main() {{\n    int a = {expr};\n    a = {expr};\n}}\n"
+    outputs = render(unit), rename(unit, {"a": "b"}), concat(unit, unit)
+    assert outputs == (
+        f"void main() {{\n    int a = {expr};\n}}\n",
+        f"void main() {{\n    int b = {expr};\n}}\n",
+        f"void main() {{\n    int a = {expr};\n    a = {expr};\n}}\n",
+    )
+    for text in outputs:  # the canonical text reads back
+        analyze_source(str(text))
     assert same_structure(unit, parse_source(source))
     assert not same_structure(unit, parse_source(source.replace("1 + 1;", "1 - 1;")))
 

@@ -202,7 +202,7 @@ def test_each_program_is_lexed_at_most_once(monkeypatch):
         lexed.append(source)
         return tokenize(source)
 
-    for module in ("analysis", "parser", "render"):
+    for module in ("analysis", "parser"):
         monkeypatch.setattr(importlib.import_module(f"cogscope.{module}"), "tokenize", counting)
     counts = []
     for _ in range(2):  # a second harness does all the work again: no cache outlives one

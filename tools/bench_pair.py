@@ -5,17 +5,21 @@
         [--claim WORKLOAD:METRIC:EXPECTED]
 
 Run it from the root of a checkout.  It writes REV's files with
-``git archive`` into a temporary directory (under ``$TMPDIR``), and removes
-that copy at the end.  For each workload and each of N seeds, from K up, it
-runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
-once in that tree and once in the working tree, one after the other; the
-working tree runs first on odd seeds, the parent on even ones.  Then it runs
-one traced pair (``--trace 1``) per workload on seed K + N.  Choose K so that
-no seed was used while the change was written.  Last, it times acceptance
-criterion 5's command, ``cogscope weyuker --seed 1 --trials 10000 --metrics
-escim,loc,mccm,cpcm --format json``, three times per tree in a fresh
-interpreter, in rounds that alternate which tree runs first as the pairs
-do, and keeps each run's wall time, exit status and stdout sha256.
+``git archive`` into a temporary directory (under ``$TMPDIR``), and copies
+the working tree's files there too, those that ``git ls-files -co
+--exclude-standard`` lists: tracked and untracked, but not ignored ones such
+as ``__pycache__``, so neither tree starts with byte code that the other
+lacks.  Both copies are removed at the end.  For each workload and each of N
+seeds, from K up, it runs ``perfbench/run.py --workload W --seed SEED
+--seconds S --trace 0`` once in the parent's copy and once in the change's,
+one after the other; the change runs first on odd seeds, the parent on even
+ones.  Then it runs one traced pair (``--trace 1``) per workload on seed
+K + N.  Choose K so that no seed was used while the change was written.
+Last, it times acceptance criterion 5's command, ``cogscope weyuker --seed
+1 --trials 10000 --metrics escim,loc,mccm,cpcm --format json``, three times
+per tree in a fresh interpreter, in rounds that alternate which tree runs
+first as the pairs do, and keeps each run's wall time, exit status and
+stdout sha256.
 
 The output has the keys of the earlier ``BENCH_*.json`` files: every run's
 last JSON line as printed, and per workload and end-to-end metric each
@@ -33,6 +37,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +50,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked files, not the ignored ones, into `dest`."""
+    for name in filter(None, _git("ls-files", "-co", "--exclude-standard", "-z").split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted from the working tree is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict | None:
@@ -144,12 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     parent_commit = _git("rev-parse", args.parent)
     runs: list[dict] = []
     traces: list[dict] = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
-        parent_tree = Path(scratch) / "tree"
-        parent_tree.mkdir()
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as scratch:
+        trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        _copy_working_tree(trees["change"])
         for workload in args.workload:
             for k in range(args.pairs):
                 seed = args.first_seed + k
@@ -172,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     document = {
         "description": (
             f"tools/bench_pair.py: perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0 "
-            f"on the parent commit (a git archive copy) and on the working tree, for seeds {seeds} of each "
+            f"on the parent commit (a git archive copy) and on the working tree (a copy of the files that git "
+            f"ls-files -co --exclude-standard lists, so no __pycache__), for seeds {seeds} of each "
             "workload, alternating which runs first (the change first on odd seeds); each run's last JSON "
             "line is kept as printed. Summary: median and quartiles (inclusive method) over the pairs; "
             "change_better_in counts pairs; median_gap is the parent median minus the change median for a "
