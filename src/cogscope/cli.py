@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze MiniLang files")
     analyze.add_argument("paths", nargs="+", help="MiniLang source files (.ml1)")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
-    analyze.add_argument("--metric", choices=tuple(METRIC_FILTERS), default="all")
+    analyze.add_argument("--metric", choices=list(METRIC_FILTERS), default="all")
     analyze.add_argument("--granules", action="store_true", help="include the per-granule table")
 
     weyuker = sub.add_parser("weyuker", help="run the Weyuker conformance suite")

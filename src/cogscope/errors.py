@@ -13,6 +13,15 @@ class Record:
     ``__init__``; nothing assigns them later.  Equality, hash and repr follow
     the fields in order, as those of a frozen dataclass do, without the cost
     of a frozen dataclass's ``object.__setattr__`` per field.
+
+    A field whose length follows the input (a per-line or per-occurrence
+    array) holds a list, never a tuple; a subclass with such a field sets
+    ``__hash__ = None``.  A tuple is kept for a fixed shape (a token) or a
+    hash key: CPython keeps freed tuples of up to 19 items in per-size free
+    lists, which only a full collection empties, and the command line pauses
+    the collector, so a process running many commands would keep the
+    largest batch of such tuples it ever freed.  A freed list's item array
+    goes back to the allocator.
     """
 
     __slots__ = ()

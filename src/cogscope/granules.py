@@ -77,7 +77,7 @@ class Granule:
         weight: int,
         region: Span,
         depth: int,
-        anchor_ids: tuple[int, ...],
+        anchor_ids: list[int],
         children: list[Granule] | None = None,
     ):
         self.id = id
@@ -150,20 +150,20 @@ def _decompose(resolved: ResolvedUnit, home: str, stmts: list[Stmt], depth: int,
     components = resolved.components
     granules: list[Granule] = []
     run: list[Stmt] = []
-    for s in (*stmts, None):  # None closes the last run
+    for s in [*stmts, None]:  # None closes the last run
         kind = _CONTROL_KIND.get(s.__class__)
         if kind is None and s is not None and id(s) not in callees:
             run.append(s)
             continue
         if run:
             region = Span(run[0].span.start, run[-1].span.end, run[0].span.line, run[0].span.col)
-            granules.append(Granule(next(ids), SEQ, WEIGHTS[SEQ], region, depth, tuple(map(id, run))))
+            granules.append(Granule(next(ids), SEQ, WEIGHTS[SEQ], region, depth, list(map(id, run))))
             run = []
         if kind is not None:
             granules.append(_control(resolved, home, s, kind, depth, ids))
         elif s is not None:  # RECURSION when a callee reaches the caller: both in one component
             kind = RECURSION if any(components[c] == home for c in callees[id(s)]) else CALL
-            granules.append(Granule(next(ids), kind, WEIGHTS[kind], s.span, depth, (id(s),)))
+            granules.append(Granule(next(ids), kind, WEIGHTS[kind], s.span, depth, [id(s)]))
     return granules
 
 
@@ -179,7 +179,7 @@ def _control(resolved: ResolvedUnit, home: str, stmt: Stmt, kind: str, depth: in
     if kind == ITE:
         blocks = (stmt.then_block, stmt.else_block)
     elif kind == CASE:
-        blocks = (*(c.block for c in stmt.cases), stmt.default_block)
+        blocks = [*(c.block for c in stmt.cases), stmt.default_block]
     else:
         blocks = (stmt.body,)
     bodies = [_flatten(block.stmts, []) for block in blocks if block is not None]
@@ -193,7 +193,7 @@ def _control(resolved: ResolvedUnit, home: str, stmt: Stmt, kind: str, depth: in
         for body in bodies:
             anchors += map(id, body)
     anchors.append(id(stmt))
-    return Granule(gid, kind, WEIGHTS[kind], stmt.span, depth, tuple(anchors), children)
+    return Granule(gid, kind, WEIGHTS[kind], stmt.span, depth, anchors, children)
 
 
 def granulate(resolved: ResolvedUnit, function: str) -> GranuleTree:

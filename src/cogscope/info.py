@@ -40,7 +40,7 @@ from .errors import Record, Span
 from .resolve import DECLARE, DECLARE_INIT, READ, WRITE, ResolvedUnit, Symbol
 
 
-def compute_icn(resolved: ResolvedUnit) -> tuple[int, ...]:
+def compute_icn(resolved: ResolvedUnit) -> list[int]:
     """Per-occurrence ICN annotations, name-keyed across the whole unit."""
     counters: dict[str, int] = {}
     values: list[int] = []
@@ -52,10 +52,10 @@ def compute_icn(resolved: ResolvedUnit) -> tuple[int, ...]:
             current += 1 + occ.ops_delta
             counters[occ.name] = current
             values.append(current)
-    return tuple(values)
+    return values
 
 
-def compute_sicn(resolved: ResolvedUnit) -> tuple[int, ...]:
+def compute_sicn(resolved: ResolvedUnit) -> list[int]:
     """Per-occurrence SICN annotations, keyed by declaration-site symbol."""
     counters: dict[int, int] = {}
     values: list[int] = []
@@ -72,22 +72,24 @@ def compute_sicn(resolved: ResolvedUnit) -> tuple[int, ...]:
             values.append(counters[uid])
         else:  # read
             values.append(counters.get(uid, 1))
-    return tuple(values)
+    return values
 
 
 class InfoAnnotations(Record):
     """The ICN and SICN of every occurrence of a resolved program, and its
-    name and symbol uid, in occurrence order."""
+    name and symbol uid, in occurrence order: four lists, one item per
+    occurrence, as every per-occurrence array is (see errors.Record)."""
 
     __slots__ = ("resolved", "icn", "sicn", "names", "uids")
+    __hash__ = None  # it holds lists
 
     def __init__(
         self,
         resolved: ResolvedUnit,
-        icn: tuple[int, ...],
-        sicn: tuple[int, ...],
-        names: tuple[str, ...],
-        uids: tuple[int, ...],
+        icn: list[int],
+        sicn: list[int],
+        names: list[str],
+        uids: list[int],
     ):
         self.resolved = resolved
         self.icn = icn
@@ -110,8 +112,8 @@ def annotate(resolved: ResolvedUnit) -> InfoAnnotations:
         resolved=resolved,
         icn=compute_icn(resolved),
         sicn=compute_sicn(resolved),
-        names=tuple([occ.name for occ in occs]),
-        uids=tuple([occ.symbol.uid for occ in occs]),
+        names=[occ.name for occ in occs],
+        uids=[occ.symbol.uid for occ in occs],
     )
 
 

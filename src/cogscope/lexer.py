@@ -158,11 +158,13 @@ class LineRecord(Record):
 
 class LineInfo(Record):
     """LOC, the records of the token-bearing lines it counts, and where each
-    of those lines' tokens start and end."""
+    of those lines' tokens start and end: three lists, one item per line, as
+    every per-line array is (see errors.Record)."""
 
     __slots__ = ("loc", "lines", "starts", "ends")
+    __hash__ = None  # it holds lists
 
-    def __init__(self, loc: int, lines: tuple[LineRecord, ...], starts: tuple[int, ...], ends: tuple[int, ...]):
+    def __init__(self, loc: int, lines: list[LineRecord], starts: list[int], ends: list[int]):
         self.loc = loc
         self.lines = lines
         self.starts = starts  # per line, the start of its first token
@@ -199,4 +201,4 @@ def classify_lines(tokens: list[tuple]) -> LineInfo:
     if current:
         records.append(LineRecord(idents, ops, lits))
         ends.append(last_end)
-    return LineInfo(len(records), tuple(records), tuple(starts), tuple(ends))
+    return LineInfo(len(records), records, starts, ends)

@@ -39,7 +39,7 @@ def cfs(io: IoClassification, wc: int) -> int:
     return (len(io.inputs) + len(io.outputs)) * wc
 
 
-def wics_cicm(line_counts: tuple[int, ...], wc: int) -> tuple[float, float]:
+def wics_cicm(line_counts: list[int], wc: int) -> tuple[float, float]:
     """Weighted information count and the information complexity measure.
 
     WICS sums n(k) / (LOCS - k + 1) over the token-bearing lines; the +1
@@ -101,6 +101,7 @@ class GranuleRow(Record):
         "id", "kind", "weight", "depth", "si", "i", "contribution", "flat_weighted_si",
         "children", "span_start", "span_end", "line", "col",
     )
+    __hash__ = None  # it holds a list
 
     def __init__(self, granule: Granule, si: int, i: int, contribution: int):
         self.id = granule.id
@@ -111,7 +112,7 @@ class GranuleRow(Record):
         self.i = i  # I over the whole region
         self.contribution = contribution  # value of this granule in the ESCIM fold
         self.flat_weighted_si = granule.weight * si  # weight x SI(region), the flat diagnostic
-        self.children = tuple([c.id for c in granule.children])
+        self.children = [c.id for c in granule.children]
         self.span_start = granule.region.start
         self.span_end = granule.region.end
         self.line = granule.region.line

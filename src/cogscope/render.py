@@ -3,7 +3,8 @@
 render() is deterministic and parse(render(u)) is structurally identical to
 u, which is what the renaming / permutation / concatenation transforms need.
 Style: four-space indents, one statement per line, braces always emitted,
-every binary operation but the outermost of an expression in parentheses.
+every binary operation but the outermost of an expression in parentheses,
+and so a negated subscript base and a negated negation: `(-b)[0]`, `-(-1)`.
 
 The renderer writes the text as a token stream and lays it out as it goes:
 it returns a `Rendered`, the text together with its tokens (the lexer's
@@ -371,29 +372,27 @@ class _Layout(Checks):
             if value >= 0:
                 return IntLit(token_span(self.tok(INT, str(value), space)), value)
             # `(-5)`: the parser reads a minus applied to 5
-            levels = self.parens(space, 1)
-            op = self.tok(OPERATOR, "-")
-            self.nest(op)
-            operand = IntLit(token_span(self.tok(INT, str(-value))), -value)
-            self.tok(PUNCT, ")")
-            self.depth -= 1 + levels
-            return Unary(Span(op[2], operand.span.end, op[4], op[5]), "-", operand)
+            return self.group(Unary(expr.span, "-", IntLit(expr.span, -value)), space)
         if cls is Binary:
             return self.binary(expr, space, top)
         if cls is Unary:
             op = expr.op
             operand = expr.operand
-            if op != "!" and (op != "-" or operand.__class__ is Unary and operand.op == "-"):
-                raise _inexact(f"this {op!r}")  # not a prefix operator, or `- -x`, which lexes as `--x`
+            if op != "!" and op != "-":
+                raise _inexact(f"this {op!r}")
             start = self.tok(OPERATOR, op, space)
             self.nest(start)
-            copy = self.expr(operand)
+            if op == "-" and operand.__class__ is Unary and operand.op == "-":
+                copy = self.group(operand, "")  # `- -x` would lex as `--x`
+            else:
+                copy = self.expr(operand)
             self.depth -= 1
             return Unary(Span(start[2], copy.span.end, start[4], start[5]), op, copy)
         if cls is Subscript:
-            if expr.base.__class__ not in (Ident, IntLit, Binary, Subscript, CallExpr):
-                raise _inexact("a subscript of a prefix operation")  # `-a[i]` subscripts `a`, not `-a`
-            base = self.expr(expr.base, space)
+            if expr.base.__class__ is Unary:
+                base = self.group(expr.base, space)  # `-a[i]` would subscript `a`, not `-a`
+            else:
+                base = self.expr(expr.base, space)
             self.nest(self.tok(PUNCT, "["))
             index = self.expr(expr.index)
             self.tok(PUNCT, "]")
@@ -406,6 +405,15 @@ class _Layout(Checks):
         if cls is StrLit or cls is ArrayInit:  # a string goes in a print call, braces in a declarator
             raise _inexact(f"a {cls.__name__} inside an expression")
         raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+    def group(self, expr: Expr, space: str) -> Expr:
+        """`(expr)`, which the parser reads as the tree of `expr` alone,
+        with that tree's own spans."""
+        levels = self.parens(space, 1)
+        copy = self.expr(expr)
+        self.tok(PUNCT, ")")
+        self.depth -= levels
+        return copy
 
     def binary(self, expr: Binary, space: str, top: bool) -> Expr:
         """An operator chain: the parser builds it left-deep, so a loop down

@@ -110,7 +110,7 @@ def report_document(analysis: Analysis, metric_filter: str = "all") -> dict:
                 "i": row.i,
                 "contribution": row.contribution,
                 "weight_x_si": row.flat_weighted_si,
-                "children": list(row.children),
+                "children": row.children,
                 "span": {
                     "start": row.span_start,
                     "end": row.span_end,
@@ -301,8 +301,6 @@ def render_json(payload: dict | list[dict]) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
@@ -330,7 +328,7 @@ def render_text(analysis: Analysis, metric_filter: str = "all", granules: bool =
             for row in analysis.granule_rows(fn.name):
                 lines.append(
                     f"      [{row.id}] {row.kind} w={row.weight} depth={row.depth} si={row.si} i={row.i}"
-                    f" contribution={row.contribution} children={list(row.children)}"
+                    f" contribution={row.contribution} children={row.children}"
                 )
     return "\n".join(lines) + "\n"
 

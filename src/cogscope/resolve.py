@@ -132,14 +132,18 @@ class Occurrence(Record):
 
 
 class ResolvedUnit:
-    """A program's occurrences and call graph, with what is derived from them."""
+    """A program's occurrences and call graph, with what is derived from them.
+
+    The occurrences, and each statement's user callees, are lists: an array
+    whose length follows the input is never a tuple (see errors.Record).
+    """
 
     def __init__(
         self,
         unit: SourceUnit,
-        occurrences: tuple[Occurrence, ...],
+        occurrences: list[Occurrence],
         call_graph: frozenset[tuple[str, str]],
-        stmt_user_callees: dict[int, tuple[str, ...]],
+        stmt_user_callees: dict[int, list[str]],
         runs: dict[str, range],
     ):
         self.unit = unit
@@ -407,9 +411,9 @@ class _Resolver:
         self.pop()
         return ResolvedUnit(
             unit=self.unit,
-            occurrences=tuple(self.occurrences),
+            occurrences=self.occurrences,
             call_graph=frozenset(self.call_edges),
-            stmt_user_callees={k: tuple(v) for k, v in self.stmt_user_callees.items()},
+            stmt_user_callees=self.stmt_user_callees,
             runs=runs,
         )
 
@@ -430,6 +434,7 @@ class IoClassification(Record):
     """Input/output variable sets and the occurrence counts metrics consume."""
 
     __slots__ = ("inputs", "outputs", "s_io", "n_operators", "n_operands", "line_counts", "loc")
+    __hash__ = None  # it holds a list
 
     def __init__(
         self,
@@ -438,7 +443,7 @@ class IoClassification(Record):
         s_io: int,
         n_operators: int,
         n_operands: int,
-        line_counts: tuple[int, ...],
+        line_counts: list[int],
         loc: int,
     ):
         self.inputs = inputs
@@ -450,7 +455,7 @@ class IoClassification(Record):
         self.loc = loc
 
 
-def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, lines: list[LineRecord]) -> IoClassification:
+def _io_from(occurrences: list[Occurrence], n_params: int, lines: list[LineRecord]) -> IoClassification:
     """One function's classification from its run, whose first n_params
     occurrences declare its parameters, and from its token-bearing lines."""
     # Keyed by uid, which is unique within one resolve(): cheaper to hash than a Symbol.
@@ -480,7 +485,7 @@ def _io_from(occurrences: tuple[Occurrence, ...], n_params: int, lines: list[Lin
         s_io=s_io,
         n_operators=sum(line.operators for line in lines),
         n_operands=sum(line.identifiers + line.literals for line in lines),
-        line_counts=tuple(line.n for line in lines),
+        line_counts=[line.n for line in lines],
         loc=len(lines),
     )
 
@@ -502,7 +507,7 @@ def classify_io(resolved: ResolvedUnit, tokens: list[tuple], line_info: LineInfo
         first, last = fn.span.start, fn.span.end
         lo = bisect_right(ends, first)  # the first line that ends inside the function
         hi = bisect_left(starts, last)  # past the last line that starts inside it
-        lines = list(records[lo:hi])
+        lines = records[lo:hi]
         for k in {lo, hi - 1}:  # only the first and last line can hold tokens outside it
             if starts[k] < first or ends[k] > last:
                 a = bisect_left(tokens, max(starts[k], first), key=_START)

@@ -35,9 +35,34 @@ class Node:
     _children: tuple[str, ...] = ()
 
     def __eq__(self, other):
+        """Same class and equal fields, spans included, all the way down.
+
+        The two trees are walked in step on one stack, as `walk` does, so
+        trees of any depth compare without recursion.
+        """
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__dict__ == other.__dict__
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            fields, others = a.__dict__, b.__dict__
+            if fields.keys() != others.keys():
+                return False
+            children = a._children
+            for name, value in fields.items():
+                theirs = others[name]
+                if name not in children or value is None or theirs is None:
+                    if value != theirs:
+                        return False
+                elif value.__class__ is list:
+                    if theirs.__class__ is not list or len(value) != len(theirs):
+                        return False
+                    stack.extend(zip(value, theirs))
+                else:
+                    stack.append((value, theirs))
+        return True
 
     __hash__ = None
 

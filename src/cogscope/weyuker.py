@@ -323,8 +323,8 @@ _PROPERTIES = {
     "3": (_equal, ((_PLUS, _MINUS),), "", "candidate programs scored differently"),
     "4": (_differ, ((_SUM_LOOP, _SUM_FORMULA),), _P4_NOTE, _P4_NOTE),
     "5": (_shrinks, None, "", ""),
-    "6a": (_composition_differs, tuple((_P6_P, _P6_Q, r, False) for r in (_P6_R_SEQ, _P6_R_LOOP)), "", _P6_NOTE),
-    "6b": (_composition_differs, tuple((_P6_P, _P6_Q, r, True) for r in (_P6_R_SEQ, _P6_R_LOOP)), "", _P6_NOTE),
+    "6a": (_composition_differs, ((_P6_P, _P6_Q, _P6_R_SEQ, False), (_P6_P, _P6_Q, _P6_R_LOOP, False)), "", _P6_NOTE),
+    "6b": (_composition_differs, ((_P6_P, _P6_Q, _P6_R_SEQ, True), (_P6_P, _P6_Q, _P6_R_LOOP, True)), "", _P6_NOTE),
     "7": (_permutation_differs, _P7_PAIRS, "", "no candidate permutation witnesses"),
     "8": (_renaming_changes, None, "", ""),
     "9": (_superadditive, _P9_PAIRS, "", "no candidate composition exceeds the sum"),

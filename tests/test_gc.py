@@ -3,12 +3,14 @@
 That is safe only while what a command leaves for the collector does not
 grow with its input.  These tests count it, with the collector off, at a
 small and a large input of each command, and check that ``main`` hands the
-collector back as it found it.
+collector back as it found it.  One more checks that a process running
+many commands keeps no more memory blocks as the commands go on.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,22 @@ def test_weyuker_leaves_the_same_garbage_for_20_and_200_trials(capsys):
               "--format", "json"] for trials in ("20", "200")]
     counts = _garbage_counts(sizes, capsys)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's allocated memory blocks")
+def test_many_commands_in_one_process_do_not_grow_the_heap(tmp_path, capsys):
+    # A variable-length tuple freed under the paused collector stays in
+    # CPython's per-size free list until a full collection, so a process
+    # that runs many commands would keep what its largest one freed.
+    directory = _corpus_dir(tmp_path / "corpus", 20)
+    blocks = {}
+    for k in range(1, 41):
+        _run(["weyuker", "--seed", str(k), "--trials", "20", "--metrics", "escim,loc", "--format", "json"])
+        _run(["corpus", str(directory), "--csv"])
+        capsys.readouterr()
+        if k in (10, 40):
+            blocks[k] = sys.getallocatedblocks()
+    assert blocks[40] - blocks[10] < 2000, blocks
 
 
 def test_usage_error_leaves_the_same_garbage_for_a_short_and_a_long_command(capsys):

@@ -37,8 +37,8 @@ def test_icn_starts_at_zero_and_counts_assignments():
 
 def test_declare_with_initializer_counts_once():
     resolved, ann = _annotated("void main(){int a = 1 + 1;}")
-    assert ann.sicn == (2,)  # 1 + one operator, not 2 + 1
-    assert ann.icn == (2,)  # 0 + 1 + one operator
+    assert ann.sicn == [2]  # 1 + one operator, not 2 + 1
+    assert ann.icn == [2]  # 0 + 1 + one operator
 
 
 def test_reads_carry_value_before_statement_effect():
@@ -310,3 +310,10 @@ def test_counters_never_fall_along_a_symbol_or_a_name(fixtures_dir):
             assert icn >= last_icn.get(occ.name, icn), source
             last_sicn[occ.symbol.uid] = sicn
             last_icn[occ.name] = icn
+
+
+def test_name_extrema_of_a_name_absent_from_the_region_is_zero(fixture_text):
+    analysis = analyze_source(fixture_text("eg1.ml1"))
+    main = analysis.unit.function("main")
+    assert name_extrema(analysis.annotations, main.span, "nope") == (0, 0, 0)
+    assert name_extrema(analysis.annotations, main.span, "square") != (0, 0, 0)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cogscope.analysis import analyze_source
+from cogscope.analysis import analyze_source, metric_value
 from cogscope.errors import UndefinedEfficiencyError
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.metrics import cfs, cpcm, efficiency, mccm, wics_cicm
@@ -198,3 +198,10 @@ def test_escim_matches_oracle_on_mixed_program():
     analysis = analyze_source(source)
     oracle_unit = parse_source(source)
     assert analysis.program.escim == oracle_escim(oracle_unit, replay(oracle_unit))
+
+
+def test_metric_value_of_an_unknown_metric_is_a_key_error(fixture_text):
+    analysis = analyze_source(fixture_text("eg1.ml1"))
+    assert metric_value(analysis, "escim") == analysis.program.escim
+    with pytest.raises(KeyError, match="unknown metric 'nope'"):
+        metric_value(analysis, "nope")

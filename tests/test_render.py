@@ -14,7 +14,7 @@ from cogscope.generator import GeneratorConfig, generate
 from cogscope.lexer import tokenize
 from cogscope.parser import MAX_NESTING, parse_source
 from cogscope.render import render
-from cogscope.syntax import ArrayInit, Block, CallStmt, Ident, IntLit, StrLit, Subscript, Unary, structure_key, walk
+from cogscope.syntax import ArrayInit, Block, CallStmt, IntLit, StrLit, structure_key, walk
 from cogscope.transforms import _collect_names, concat, rename
 
 
@@ -96,15 +96,26 @@ def _assert_laid_out(rendered, label) -> None:
     assert _comparable(analyze_rendered(rendered)) == _comparable(analyze_source(str(rendered))), label
 
 
+# Programs whose canonical text needs a group that no binary operation
+# writes, and that group's text: a negated subscript base, and a negated
+# negation.
+GROUPED_PROGRAMS = {
+    "negated subscript base": ("void main() {\n    int b[] = {1};\n    int x = (-b)[0];\n}\n", "(-b)[0]"),
+    "negated negation": ("void main() {\n    int x = - -1;\n}\n", "-(-1)"),
+}
+
+
 def _layout_programs():
-    """The fixtures, the two full-language programs, two long sums, and
-    generated programs."""
+    """The fixtures, the two full-language programs, the grouped programs,
+    two long sums, and generated programs."""
     from conftest import FIXTURES
 
     for path in sorted(FIXTURES.glob("*.ml1")):
         yield path.name, path.read_text()
     yield "full language", FULL_LANGUAGE
     yield "terse forms", TERSE_FORMS
+    for label, (source, _) in GROUPED_PROGRAMS.items():
+        yield label, source
     for terms in (103, 2000):  # canonical text: one `(` per inner operation, in one run
         yield f"sum of {terms}", _sum(terms)
     rng = random.Random(11)
@@ -120,7 +131,7 @@ def _layout_programs():
 
 def test_layout_equals_the_parse_of_the_text():
     programs = [(label, parse_source(text)) for label, text in _layout_programs()]
-    assert len(programs) == 2012
+    assert len(programs) == 2014
     rng = random.Random(12)
     for k, (label, unit) in enumerate(programs):
         _assert_laid_out(render(unit), label)
@@ -131,6 +142,16 @@ def test_layout_equals_the_parse_of_the_text():
         rng.shuffle(targets)
         _assert_laid_out(rename(unit, {a: f"r{i}_{b}" for i, (a, b) in enumerate(zip(names, targets))}),
                          f"rename of {label}")
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED_PROGRAMS))
+def test_a_negated_subscript_base_and_a_negated_negation_are_grouped(case):
+    source, group = GROUPED_PROGRAMS[case]
+    unit = parse_source(source)
+    rendered = render(unit)
+    assert f"int x = {group};" in rendered
+    assert structure_key(parse_source(rendered)) == structure_key(unit)
+    assert parse_source(rendered) == rendered.unit
 
 
 # Deep expressions, each the one deep part of a main.  A sum's canonical
@@ -224,14 +245,6 @@ INVALID_TREES = {
     "not a name": (lambda: _tree(
         "void main() {\n    int a;\n}\n",
         lambda u: _set(_main_stmts(u)[0].declarators[0], name="a$")), ValueError),
-    "minus minus": (lambda: _tree(
-        "void main() {\n    int a = -b;\n}\n",
-        lambda u: _set(_main_stmts(u)[0].declarators[0].init,
-                       operand=Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")))), ValueError),
-    "subscript of a negation": (lambda: _tree(
-        "void main() {\n    int b[] = {1};\n    int a = b[0];\n}\n",
-        lambda u: _set(_main_stmts(u)[1].declarators[0], init=Subscript(
-            DUMMY_SPAN, Unary(DUMMY_SPAN, "-", Ident(DUMMY_SPAN, "b")), IntLit(DUMMY_SPAN, 0)))), ValueError),
     "return type": (lambda: _tree(
         "void main() {\n}\n",
         lambda u: _set(u.functions[0], ret_type="char")), ValueError),

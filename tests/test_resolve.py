@@ -139,7 +139,7 @@ def test_a_call_as_for_initializer_is_a_statement_of_its_own():
     loop.init = CallStmt(DUMMY_SPAN, "helper", [Ident(DUMMY_SPAN, "i")])
     resolved = resolve(unit)
     assert ("main", "helper") in resolved.call_graph
-    assert resolved.stmt_user_callees[id(loop.init)] == ("helper",)
+    assert resolved.stmt_user_callees[id(loop.init)] == ["helper"]
     (arg,) = [o for o in resolved.occurrences if o.span is DUMMY_SPAN]
     assert (arg.name, arg.kind, arg.stmt_id) == ("i", "read", id(loop.init))
 
@@ -306,12 +306,12 @@ def test_one_analysis_reads_each_token_once_for_its_line_counts(monkeypatch):
 # n_operands): a shared line counts each function's own tokens.
 SHARED_LINES = {
     "int f(){return 1;} void main(){print(f());}": {
-        "f": (1, (1,), 0, 2),
-        "main": (1, (3,), 0, 3),
+        "f": (1, [1], 0, 2),
+        "main": (1, [3], 0, 3),
     },
     "int g = 2; int f(int p) {\n  return p + g;\n}\nint h = 3; void main() {\n  print(f(h) * 2); } int k;\n": {
-        "f": (3, (2, 3, 0), 1, 4),
-        "main": (2, (1, 4), 1, 5),
+        "f": (3, [2, 3, 0], 1, 4),
+        "main": (2, [1, 4], 1, 5),
     },
 }
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 from conftest import FIXTURES
 from test_info import FULL_LANGUAGE
 
+from cogscope.errors import Span
 from cogscope.generator import GeneratorConfig, generate
 from cogscope.parser import parse_source
 from cogscope.syntax import _CHILD_FIELDS, NODE_CLASSES, Binary, Ident, IntLit, walk
@@ -61,3 +63,30 @@ def test_child_fields_are_exactly_the_fields_holding_nodes():
                 elif name in children:
                     assert value is None or value == [], (k, type(node).__name__, name, value)
         assert list(map(id, walk(unit))) == list(map(id, _field_scan(unit))), k
+
+
+def test_function_of_an_unknown_name_is_a_key_error():
+    unit = parse_source("void main() {\n}\n")
+    assert unit.function("main") is unit.functions[0]
+    with pytest.raises(KeyError):
+        unit.function("nope")
+
+
+# ---------- equality: every field, spans included, without recursion ----------
+
+
+def test_two_parses_of_a_2000_term_sum_compare_equal():
+    source = "void main() {\n    int a = " + " + ".join(["1"] * 2000) + ";\n}\n"
+    assert 2000 > sys.getrecursionlimit()
+    assert parse_source(source) == parse_source(source)
+
+
+def test_a_tree_that_differs_in_one_span_compares_unequal():
+    source = "void main() {\n    int a = " + " + ".join(["1"] * 2000) + ";\n}\n"
+    unit, other = parse_source(source), parse_source(source)
+    deepest = other.function("main").body.stmts[0].declarators[0].init
+    while deepest.__class__ is Binary:
+        deepest = deepest.lhs
+    deepest.span = Span(deepest.span.start, deepest.span.end, deepest.span.line, deepest.span.col + 1)
+    assert unit != other
+    assert not unit == other

@@ -21,6 +21,17 @@ per tree in a fresh interpreter, in rounds that alternate which tree runs
 first as the pairs do, and keeps each run's wall time, exit status and
 stdout sha256.
 
+Beside the times it records counts, which do not depend on the host's
+speed.  For each workload and tree, a fresh interpreter pinned to one CPU
+(so nothing forks) makes the plan of seed K + N with the tree's
+``perfbench/workloads.make_plan``, which it imports and does not change,
+sends the warm-up request, and then sends every request of the plan through
+``cogscope.cli.main``: once under cProfile, for the call total of that
+first cycle, and in a second interpreter, unprofiled, for COUNT_CYCLES
+cycles, reading ``sys.getallocatedblocks()`` and the peak RSS (VmHWM, see
+COUNT_PROBE) after the first and after the last cycle.  The counts run twice
+per tree, after the criterion 5 rounds, and the output says which repeated.
+
 The output has the keys of the earlier ``BENCH_*.json`` files: every run's
 last JSON line as printed, and per workload and end-to-end metric each
 side's median and quartiles (inclusive method), the pairs in which the
@@ -84,6 +95,92 @@ def _pair(trees: dict[str, Path], workload: str, seed: int, seconds: int, trace:
             shown = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
             print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr)
     return runs
+
+
+COUNT_CYCLES = 40
+
+# One count run: argv is the tree, the workload, the seed, and "calls" or
+# the number of cycles to read the memory over.  The peak RSS is VmHWM, the
+# peak of this process's own memory: Linux carries ru_maxrss across exec, so
+# there it would be at least the peak of the process that started this one.
+COUNT_PROBE = """
+import contextlib, cProfile, io, json, os, pstats, sys, tempfile
+from pathlib import Path
+
+tree, workload, seed, what = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4]
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, str(tree / "perfbench"))
+import workloads
+
+workloads.import_program()
+from cogscope.cli import main
+
+
+def cycle(requests):
+    failed = 0
+    for request in requests:
+        with contextlib.redirect_stdout(io.StringIO()):
+            failed += main(request["argv"]) != 0
+    return failed
+
+
+def memory():
+    with open("/proc/self/status") as status:
+        hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return {"blocks": sys.getallocatedblocks(), "peak_rss_kb": hwm}
+
+
+with tempfile.TemporaryDirectory(prefix="bench-count-") as workdir:
+    plan = workloads.make_plan(workload, seed, Path(workdir))
+    failed = cycle([plan["warmup"]])
+    if what == "calls":
+        profile = cProfile.Profile()
+        profile.enable()
+        failed += cycle(plan["requests"])
+        profile.disable()
+        result = {"calls_first_cycle": pstats.Stats(profile).total_calls}
+    else:
+        failed += cycle(plan["requests"])
+        result = {"after_first": memory()}
+        for _ in range(int(what) - 1):
+            failed += cycle(plan["requests"])
+        result["after_last"] = memory()
+    print(json.dumps({**result, "failed": failed}))
+"""
+
+
+def _count(tree: Path, side: str, workload: str, seed: int) -> dict | None:
+    """The counts of `workload` in `tree`: the call total from one fresh
+    interpreter, and the memory readings, unprofiled, from another."""
+    result = {"failed": 0}
+    for what in ("calls", str(COUNT_CYCLES)):
+        argv = [sys.executable, "-c", COUNT_PROBE, str(tree), workload, str(seed), what]
+        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+        lines = proc.stdout.splitlines()
+        if not lines or not lines[-1].startswith("{"):
+            print(f"bench_pair: no counts from {tree} {workload}: {proc.stderr.strip()}", file=sys.stderr)
+            return None
+        part = json.loads(lines[-1])
+        result.update(part, failed=result["failed"] + part["failed"])
+    print(f"counts {workload} {side}: {result}", file=sys.stderr)
+    return result
+
+
+def count_summary(runs: list[dict]) -> dict:
+    """Per workload and tree, the first run's counts and whether each repeated in the second."""
+    summary: dict = {}
+    for run in runs:
+        cell = summary.setdefault(run["workload"], {}).setdefault(run["tree"], {})
+        if "result" in cell:
+            first, again = cell["result"], run["result"]
+            cell["repeats"] = None if first is None or again is None else {
+                "calls_first_cycle": first["calls_first_cycle"] == again["calls_first_cycle"],
+                **{f"{when}.{name}": first[when][name] == again[when][name]
+                   for when in ("after_first", "after_last") for name in ("blocks", "peak_rss_kb")},
+            }
+        else:
+            cell["result"] = run["result"]
+    return summary
 
 
 CRITERION_5 = ("weyuker", "--seed", "1", "--trials", "10000", "--metrics", "escim,loc,mccm,cpcm", "--format", "json")
@@ -155,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2 and --seconds at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    count_seed = args.first_seed + args.pairs
     parent_commit = _git("rev-parse", args.parent)
     runs: list[dict] = []
     traces: list[dict] = []
@@ -175,6 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(CRITERION_5_ROUNDS):
             order = ("change", "parent") if k % 2 == 1 else ("parent", "change")
             criterion_5 += [_criterion_5(trees[side], side, position) for position, side in enumerate(order)]
+        counts = [{"tree": side, "workload": workload, "result": _count(trees[side], side, workload, count_seed)}
+                  for _ in range(2) for workload in args.workload for side in ("parent", "change")]
 
     summary = {w: summarize(runs, w, spec["end_to_end"]) for w in args.workload}
     claim = None
@@ -221,6 +321,21 @@ def main(argv: list[str] | None = None) -> int:
                 for side in ("parent", "change")
             },
             "runs": criterion_5,
+        },
+        "counts": {
+            "description": (
+                f"per workload and tree, a fresh interpreter pinned to one CPU (so nothing forks) makes the "
+                f"plan of seed {count_seed} with the tree's perfbench/workloads.make_plan, sends its warm-up "
+                "request, then sends every request of the plan through cogscope.cli.main: calls_first_cycle "
+                "is cProfile's call total for that first cycle; a second such interpreter runs the plan "
+                f"unprofiled for {COUNT_CYCLES} cycles and reads blocks (sys.getallocatedblocks()) and "
+                "peak_rss_kb (VmHWM of /proc/self/status, the process's own peak; ru_maxrss would carry the "
+                "starting process's peak across exec) after the first and after the last cycle. Each tree "
+                "ran twice, parent then change per workload; summary holds the first run's counts and, per "
+                "count, whether the second run repeated it."
+            ),
+            "summary": count_summary(counts),
+            "runs": counts,
         },
         "extra": {"argv": sys.argv[1:] if argv is None else argv},
     }
