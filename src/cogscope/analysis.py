@@ -11,8 +11,8 @@ rows, which only reports show, are built from it on demand.
 A function and the program are scored into the same Metrics record.
 Everything here is a pure function of the source text, so analyses
 of distinct inputs can run concurrently.  Text that render() wrote is
-scored from the tokens and tree it laid out (analyze_rendered), without
-being lexed and parsed again.
+scored from the tokens it wrote and the parser's tree of them
+(analyze_rendered): it is never lexed, and parsed only by render().
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def analyze_source(source: str, path: str = "<memory>") -> Analysis:
 
 
 def analyze_rendered(rendered: str, path: str = "<memory>") -> Analysis:
-    """Resolve, granulate, annotate and score the tokens and tree of a
-    program that render() returned, a render.Rendered: the same Analysis, or
-    the same error, as ``analyze_source(str(rendered))``."""
+    """Score a program that render() returned, a render.Rendered, from its
+    tokens and the parser's tree of them: the same Analysis, or the same
+    error, as ``analyze_source(str(rendered))``."""
     return _analyze(rendered, path, rendered.tokens, rendered.unit)
 
 

@@ -170,19 +170,21 @@ def _decompose(resolved: ResolvedUnit, home: str, stmts: list[Stmt], depth: int,
 def _control(resolved: ResolvedUnit, home: str, stmt: Stmt, kind: str, depth: int, ids: count) -> Granule:
     """The granule of one control structure, numbered before its bodies' granules.
 
-    Each body is flattened once.  When one of them holds a control structure
-    or a user call, the bodies decompose one level deeper; otherwise the
-    granule is a leaf and their statements anchor to it.  A for loop's init
-    and step anchor to it either way.
+    Its bodies are its `Block` parts in `_children` order, a switch's cases
+    read as their blocks, as resolve.walk_stmt reads them.  Each body is
+    flattened once.  When one of them holds a control structure or a user
+    call, the bodies decompose one level deeper; otherwise the granule is a
+    leaf and their statements anchor to it.  A for loop's init and step
+    anchor to it either way.
     """
     gid = next(ids)
-    if kind == ITE:
-        blocks = (stmt.then_block, stmt.else_block)
-    elif kind == CASE:
-        blocks = [*(c.block for c in stmt.cases), stmt.default_block]
-    else:
-        blocks = (stmt.body,)
-    bodies = [_flatten(block.stmts, []) for block in blocks if block is not None]
+    bodies = []
+    for name in stmt._children:  # the bodies in field order
+        part = getattr(stmt, name)
+        if part.__class__ is Block:
+            bodies.append(_flatten(part.stmts, []))
+        elif part.__class__ is list:  # a switch's cases
+            bodies += [_flatten(case.block.stmts, []) for case in part]
     anchors = [id(h) for h in (stmt.init, stmt.step) if h is not None] if kind == FOR else []
     callees = resolved.stmt_user_callees
     children: list[Granule] = []

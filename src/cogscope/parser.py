@@ -14,10 +14,11 @@ Bodies of if/while/for may be a single statement; the parser normalizes
 them to one-statement blocks, so every Block introduces exactly one scope.
 String literals outside print arguments, reserved or duplicate function
 names, nesting deeper than MAX_NESTING and a missing main are rejected at
-parse time; the checks on function names, nesting and main are `Checks`,
-which the renderer makes too.  A chain of operators is read on an explicit
-stack, and a run of `(` in one frame, so the canonical text of a chain of
-any length reads back.  Variable names are the resolver's to check
+parse time.  The nesting count is `Checks`, which the renderer keeps too as
+it writes a tree out; every other check it leaves to this parser, which
+reads the tokens it writes (render.py).  A chain of operators is read on an
+explicit stack, and a run of `(` in one frame, so the canonical text of a
+chain of any length reads back.  Variable names are the resolver's to check
 (resolve.py), in its one scope stack.
 """
 
@@ -94,18 +95,15 @@ END = "end of input"
 
 
 class Checks:
-    """The checks a program passes beyond the grammar that need no scope:
-    no reserved or duplicate function names, nesting at most MAX_NESTING
-    levels deep, one main.
+    """The nesting count: at most MAX_NESTING levels deep.
 
-    The parser makes them as it reads a program.  The renderer makes them as
-    it writes a tree out (render.py), so a tree whose text the parser would
-    reject is known without that text being parsed.  Each check takes the
-    token it is made at, and builds that token's span only to raise.
+    The parser keeps it as it reads a program, and the renderer as it writes
+    a tree out (render.py), so that a tree of any depth stops at the limit
+    instead of at Python's recursion limit.  `nest` takes the token it opens
+    a level at, and builds that token's span only to raise.
     """
 
     def __init__(self):
-        self.functions: set[str] = set()  # the functions defined so far
         self.depth = 0  # open nesting levels; whoever opens one closes it with `self.depth -= 1`
 
     def nest(self, token: tuple) -> None:
@@ -114,30 +112,16 @@ class Checks:
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token_span(token))
 
-    def define(self, token: tuple) -> None:
-        """Define a function named by the identifier `token`."""
-        name = token[1]
-        if name in BUILTINS:
-            raise ParseError(f"cannot define reserved builtin {name!r}", token_span(token))
-        if name in self.functions:
-            raise ParseError(f"duplicate function {name!r}", token_span(token))
-        self.functions.add(name)
-
-    def one_main(self, functions: list[FunctionDef]) -> None:
-        """The program's functions, once all are defined, include one main."""
-        if sum(f.name == "main" for f in functions) != 1:
-            where = functions[0].span if functions else Span(0, 0, 1, 1)
-            raise ParseError("program must define exactly one function named 'main'", where)
-
 
 class _Parser(Checks):
     # Tokens are the lexer's tuples (kind, text, start, end, line, col), read
     # by index.  A Span is built only for a node that keeps one, or an error.
-    # The most frequent nodes are built with positional arguments, in field
-    # order: cheaper than keywords on this hot path.
+    # Nodes are built with positional arguments, in field order: cheaper
+    # than keywords on this hot path.
 
     def __init__(self, tokens: list[tuple], source_len: int):
         super().__init__()
+        self.functions: set[str] = set()  # the functions defined so far
         # Lookahead is read as self._lookahead[self.pos + k], k <= 2.  Past
         # the last token every read finds the one END token, whose text
         # names it in messages and whose span is the end of the input, located
@@ -197,8 +181,10 @@ class _Parser(Checks):
                 raise ParseError(
                     f"expected declaration or function, found {text!r}", token_span(self._lookahead[self.pos])
                 )
-        self.one_main(functions)
-        return SourceUnit(functions=functions, globals=globals_)
+        if sum(f.name == "main" for f in functions) != 1:
+            where = functions[0].span if functions else Span(0, 0, 1, 1)
+            raise ParseError("program must define exactly one function named 'main'", where)
+        return SourceUnit(functions, globals_)
 
     def _is_function_header(self) -> bool:
         return (
@@ -209,7 +195,12 @@ class _Parser(Checks):
     def parse_function(self) -> FunctionDef:
         start = self.advance()  # void | int
         name_tok = self.expect_ident()
-        self.define(name_tok)
+        name = name_tok[1]
+        if name in BUILTINS:
+            raise ParseError(f"cannot define reserved builtin {name!r}", token_span(name_tok))
+        if name in self.functions:
+            raise ParseError(f"duplicate function {name!r}", token_span(name_tok))
+        self.functions.add(name)
         self.expect("(")
         params: list[Param] = []
         while not self.at(")"):
@@ -225,13 +216,7 @@ class _Parser(Checks):
             params.append(Param(pname[1], Span(pname[2], pname[3], pname[4], pname[5]), is_array))
         self.expect(")")
         body = self.parse_block()
-        return FunctionDef(
-            name=name_tok[1],
-            params=params,
-            body=body,
-            span=self.span_from(start),
-            ret_type=start[1],
-        )
+        return FunctionDef(name, params, body, self.span_from(start), start[1])
 
     # ---------- statements ----------
 
@@ -252,7 +237,7 @@ class _Parser(Checks):
         self.nest(self._lookahead[self.pos - 1])  # the ')' or 'else' before the body
         stmt = self.parse_stmt()
         self.depth -= 1
-        return Block(span=stmt.span, stmts=[stmt])
+        return Block(stmt.span, [stmt])
 
     def parse_stmt(self) -> Stmt:
         tok = self._lookahead[self.pos]
@@ -274,16 +259,16 @@ class _Parser(Checks):
         if text == "parallel":
             self.advance()
             body = self.parse_block()
-            return Parallel(span=self.span_from(tok), body=body)
+            return Parallel(self.span_from(tok), body)
         if text == "interrupt":
             self.advance()
             body = self.parse_block()
-            return Interrupt(span=self.span_from(tok), body=body)
+            return Interrupt(self.span_from(tok), body)
         if text == "return":
             self.advance()
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            return Return(span=self.span_from(tok), value=value)
+            return Return(self.span_from(tok), value)
         if text == "{":
             return self.parse_block()
         stmt = self.parse_simple_stmt()
@@ -328,7 +313,7 @@ class _Parser(Checks):
                 self.expect(",")
             elements.append(self.parse_expr())
         self.expect("}")
-        return ArrayInit(span=self.span_from(start), elements=elements)
+        return ArrayInit(self.span_from(start), elements)
 
     def parse_simple_stmt(self) -> Stmt:
         """Assignment, ++/--, or a call statement."""
@@ -336,7 +321,7 @@ class _Parser(Checks):
         if tok[0] == "identifier" and (tok[1] in BUILTINS or self._peek_is_plain_call()):
             self.advance()
             args = self.parse_call_args(allow_strings=tok[1] == "print")
-            return CallStmt(span=token_span(tok), callee=tok[1], args=args)
+            return CallStmt(token_span(tok), tok[1], args)
         target = self.parse_lvalue()
         nxt = self._lookahead[self.pos]
         if nxt is self.end:
@@ -363,10 +348,8 @@ class _Parser(Checks):
             if self.at_kind("string-literal"):
                 tok = self.advance()
                 if not allow_strings:
-                    raise ParseError(
-                        "string literals are only allowed as print arguments", token_span(tok)
-                    )
-                args.append(StrLit(span=token_span(tok), raw=tok[1]))
+                    raise ParseError("string literals are only allowed as print arguments", token_span(tok))
+                args.append(StrLit(token_span(tok), tok[1]))
             else:
                 args.append(self.parse_expr())
         self.expect(")")
@@ -389,11 +372,7 @@ class _Parser(Checks):
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
-            node = Subscript(
-                span=Span(span.start, close[3], span.line, span.col),
-                base=node,
-                index=index,
-            )
+            node = Subscript(Span(span.start, close[3], span.line, span.col), node, index)
         return node
 
     def parse_if(self) -> If:
@@ -409,10 +388,10 @@ class _Parser(Checks):
                 self.nest(self._lookahead[self.pos])
                 nested = self.parse_if()
                 self.depth -= 1
-                else_block = Block(span=nested.span, stmts=[nested])
+                else_block = Block(nested.span, [nested])
             else:
                 else_block = self.parse_body()
-        return If(span=self.span_from(start), cond=cond, then_block=then_block, else_block=else_block)
+        return If(self.span_from(start), cond, then_block, else_block)
 
     def parse_switch(self) -> Switch:
         start = self.expect("switch")
@@ -435,10 +414,10 @@ class _Parser(Checks):
                     raise ParseError("case label must be an integer literal", token_span(lit_tok))
                 self.advance()
                 value = -int(lit_tok[1]) if negative else int(lit_tok[1])
-                literal = IntLit(span=token_span(lit_tok), value=value)
+                literal = IntLit(token_span(lit_tok), value)
                 self.expect(":")
                 block = self.parse_block()
-                cases.append(SwitchCase(literal=literal, block=block))
+                cases.append(SwitchCase(literal, block))
             elif self.at("default"):
                 if default_block is not None:
                     raise ParseError("duplicate default case", token_span(self._lookahead[self.pos]))
@@ -449,12 +428,7 @@ class _Parser(Checks):
                 tok = self._lookahead[self.pos]
                 raise ParseError(f"expected 'case' or 'default', found {tok[1]!r}", token_span(tok))
         self.expect("}")
-        return Switch(
-            span=self.span_from(start),
-            scrutinee=scrutinee,
-            cases=cases,
-            default_block=default_block,
-        )
+        return Switch(self.span_from(start), scrutinee, cases, default_block)
 
     def parse_for(self) -> For:
         start = self.expect("for")
@@ -486,7 +460,7 @@ class _Parser(Checks):
             step = stmt
         self.expect(")")
         body = self.parse_body()
-        return For(span=self.span_from(start), init=init, cond=cond, step=step, body=body)
+        return For(self.span_from(start), init, cond, step, body)
 
     def parse_while(self) -> While:
         start = self.expect("while")
@@ -494,7 +468,7 @@ class _Parser(Checks):
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_body()
-        return While(span=self.span_from(start), cond=cond, body=body)
+        return While(self.span_from(start), cond, body)
 
     def parse_do_while(self) -> DoWhile:
         start = self.expect("do")
@@ -504,7 +478,7 @@ class _Parser(Checks):
         cond = self.parse_expr()
         self.expect(")")
         self.expect(";")
-        return DoWhile(span=self.span_from(start), body=body, cond=cond)
+        return DoWhile(self.span_from(start), body, cond)
 
     # ---------- expressions ----------
 
@@ -579,16 +553,12 @@ class _Parser(Checks):
         if text == "::":
             self.advance()
             name_tok = self.expect_ident()
-            return Ident(
-                span=Span(tok[2], name_tok[3], tok[4], tok[5]),
-                name=name_tok[1],
-                global_qualified=True,
-            )
+            return Ident(Span(tok[2], name_tok[3], tok[4], tok[5]), name_tok[1], True)
         if kind == "identifier":
             self.pos += 1
             if self._lookahead[self.pos][1] == "(":
                 args = self.parse_call_args(allow_strings=text == "print")
-                return CallExpr(span=self.span_from(tok), callee=text, args=args)
+                return CallExpr(self.span_from(tok), text, args)
             return Ident(Span(tok[2], tok[3], tok[4], tok[5]), text)
         raise ParseError(f"unexpected token {text!r} in expression", token_span(tok))
 
@@ -596,6 +566,19 @@ class _Parser(Checks):
 def parse(tokens: list[tuple], source_len: int) -> SourceUnit:
     """Parse the tokens of a source text of ``source_len`` characters into a SourceUnit."""
     return _Parser(tokens, source_len).parse_unit()
+
+
+def fault_within(tokens: list[tuple], source_len: int) -> ParseError | None:
+    """The error that `parse` meets in ``tokens``, the start of a longer
+    token stream, before it has read them all; None if it meets none.  An
+    error met once they are all read belongs to where they stop, not to them."""
+    parser = _Parser(tokens, source_len)
+    try:
+        parser.parse_unit()
+    except ParseError as error:
+        if parser.pos < len(tokens):
+            return error
+    return None
 
 
 def parse_source(source: str) -> SourceUnit:

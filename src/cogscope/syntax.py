@@ -35,34 +35,12 @@ class Node:
     _children: tuple[str, ...] = ()
 
     def __eq__(self, other):
-        """Same class and equal fields, spans included, all the way down.
-
-        The two trees are walked in step on one stack, as `walk` does, so
-        trees of any depth compare without recursion.
-        """
+        """Same class and equal fields, spans included, all the way down:
+        the flat walk of `structure_key`, with the spans kept, so trees of
+        any depth compare without recursion."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a.__class__ is not b.__class__:
-                return False
-            fields, others = a.__dict__, b.__dict__
-            if fields.keys() != others.keys():
-                return False
-            children = a._children
-            for name, value in fields.items():
-                theirs = others[name]
-                if name not in children or value is None or theirs is None:
-                    if value != theirs:
-                        return False
-                elif value.__class__ is list:
-                    if theirs.__class__ is not list or len(value) != len(theirs):
-                        return False
-                    stack.extend(zip(value, theirs))
-                else:
-                    stack.append((value, theirs))
-        return True
+        return _flat(self, _NO_FIELDS) == _flat(other, _NO_FIELDS)
 
     __hash__ = None
 
@@ -362,21 +340,19 @@ def walk(node):
 
 
 # ============================================================
-# STRUCTURAL EQUALITY (spans excluded)
+# TREE EQUALITY: spans included (Node.__eq__) or not (structure_key)
 # ============================================================
 
 
 _SPAN_FIELDS = frozenset({"span", "name_span"})
+_NO_FIELDS = frozenset()
 
 
-def structure_key(node):
-    """A tree as a span-free, hashable and comparable key.
-
-    The key is flat: per node of `walk(node)`, its class, then per field its
-    value, or for a child field the length of its list or whether it holds a
-    node.  A class fixes its fields, so equal keys mean equal trees, and a
-    tree of any depth builds, hashes and compares without recursion.
-    """
+def _flat(node, skipped: frozenset) -> list:
+    """Per node of `walk(node)`, its class, then per field other than those
+    `skipped` its value, or for a child field the length of its list or
+    whether it holds a node.  A class fixes its fields, so equal lists mean
+    equal trees."""
     key = []
     for item in walk(node):
         cls = item.__class__
@@ -385,6 +361,13 @@ def structure_key(node):
         for name, value in vars(item).items():
             if name in children:
                 key.append(len(value) if value.__class__ is list else value is not None)
-            elif name not in _SPAN_FIELDS:
+            elif name not in skipped:
                 key.append(value)
-    return tuple(key)
+    return key
+
+
+def structure_key(node):
+    """A tree as a span-free, hashable and comparable key: its flat walk,
+    spans left out.  A tree of any depth builds, hashes and compares without
+    recursion."""
+    return tuple(_flat(node, _SPAN_FIELDS))

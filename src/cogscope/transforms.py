@@ -2,7 +2,7 @@
 
 Each operand is program text or an already parsed SourceUnit; operands are
 never modified.  Every operator returns its result as render() writes it: a
-`Rendered`, canonical program text that also carries its tokens and tree,
+`Rendered`, canonical text with its tokens and the parser's tree of them,
 so a caller scores it with analysis.analyze_rendered instead of lexing and
 parsing it again.  Concatenation merges the two mains into one:
 
@@ -169,17 +169,9 @@ def _assign_from_declarator(d: Declarator) -> list[Stmt]:
     if d.init is None:
         return []
     if isinstance(d.init, ArrayInit):
-        out: list[Stmt] = []
-        for i, element in enumerate(d.init.elements):
-            target = Subscript(
-                span=DUMMY_SPAN,
-                base=Ident(span=DUMMY_SPAN, name=d.name),
-                index=IntLit(span=DUMMY_SPAN, value=i),
-            )
-            out.append(Assign(span=DUMMY_SPAN, target=target, op="=", value=element))
-        return out
-    target = Ident(span=DUMMY_SPAN, name=d.name)
-    return [Assign(span=DUMMY_SPAN, target=target, op="=", value=d.init)]
+        return [Assign(DUMMY_SPAN, Subscript(DUMMY_SPAN, Ident(DUMMY_SPAN, d.name), IntLit(DUMMY_SPAN, i)), "=", element)
+                for i, element in enumerate(d.init.elements)]
+    return [Assign(DUMMY_SPAN, Ident(DUMMY_SPAN, d.name), "=", d.init)]
 
 
 def _merge_decl(decl: Decl, taken: set[str]) -> list[Stmt]:
@@ -247,13 +239,8 @@ def concat(p: str | SourceUnit, q: str | SourceUnit) -> Rendered:
         else:
             q_body.append(stmt)
 
-    merged_main = FunctionDef(
-        name="main",
-        params=list(p_main.params) + list(q_main.params),
-        body=Block(span=DUMMY_SPAN, stmts=list(p_main.body.stmts) + q_body),
-        span=DUMMY_SPAN,
-        ret_type=p_main.ret_type,
-    )
+    body = Block(DUMMY_SPAN, [*p_main.body.stmts, *q_body])
+    merged_main = FunctionDef("main", [*p_main.params, *q_main.params], body, DUMMY_SPAN, p_main.ret_type)
     # q's helpers go before the merged main: name-keyed counters then see
     # every part of the combined program no earlier than they did alone.
     functions: list[FunctionDef] = []

@@ -16,9 +16,9 @@ All candidate programs are evaluated in canonical rendered form so that
 line-based metrics compare rendered text with rendered text.  Whatever does
 not depend on the metric is done once per harness: each candidate's
 canonical text and values, each composition of candidates, and each
-permutation check.  Programs that concat and rename build are scored from
-the renderer's layout (analysis.analyze_rendered), so every program a run
-scores is lexed and parsed at most once.
+permutation check.  A pool program is lexed and parsed once; its
+composition and its renaming are scored from the tokens render() wrote and
+the parser's tree of them (analysis.analyze_rendered), never lexed.
 """
 
 from __future__ import annotations

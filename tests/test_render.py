@@ -14,7 +14,7 @@ from cogscope.generator import GeneratorConfig, generate
 from cogscope.lexer import tokenize
 from cogscope.parser import MAX_NESTING, parse_source
 from cogscope.render import render
-from cogscope.syntax import ArrayInit, Block, CallStmt, IntLit, StrLit, structure_key, walk
+from cogscope.syntax import ArrayInit, Block, CallStmt, IntLit, StrLit, Unary, structure_key, walk
 from cogscope.transforms import _collect_names, concat, rename
 
 
@@ -165,6 +165,7 @@ DEEP_EXPRESSIONS = {
     "call argument": f"print({_CANONICAL_SUM});",
     "if condition": f"int a = 0;\n    if ({_CANONICAL_SUM}) {{\n        a = 1;\n    }}",
     "5000 parentheses": "int a = " + "(" * 5000 + "1" + ")" * 5000 + ";",
+    "subscript chain": "int c[] = {0};\n    int a = c" + "[0]" * _TERMS + ";",
 }
 
 
@@ -233,6 +234,12 @@ INVALID_TREES = {
     "nested blocks": (lambda: _tree(
         "void main() {\n}\n",
         lambda u: _main_stmts(u).append(_nested_blocks(MAX_NESTING))), "101:401 nesting deeper than 100 levels"),
+    "2000 nested blocks": (lambda: _tree(
+        "void main() {\n    int a = 1;\n}\n",
+        lambda u: _main_stmts(u).append(_nested_blocks(2000))), "102:401 nesting deeper than 100 levels"),
+    "2000 nested negations": (lambda: _tree(
+        "void main() {\n    int a = 1;\n}\n",
+        lambda u: _set(_main_stmts(u)[0].declarators[0], init=_negations(2000))), "2:112 nesting deeper than 100 levels"),
     "string outside print": (lambda: _tree(
         'void main() {\n    print("s");\n}\n',
         lambda u: _set(_main_stmts(u)[0], callee="read")), ValueError),
@@ -283,6 +290,14 @@ def _nested_blocks(depth: int) -> Block:
     for _ in range(depth - 1):
         block = Block(DUMMY_SPAN, [block])
     return block
+
+
+def _negations(depth: int) -> Unary:
+    """`!` applied `depth` times to 1."""
+    expr = IntLit(DUMMY_SPAN, 1)
+    for _ in range(depth):
+        expr = Unary(DUMMY_SPAN, "!", expr)
+    return expr
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_TREES))
