@@ -12,7 +12,9 @@ A function and the program are scored into the same Metrics record.
 Everything here is a pure function of the source text, so analyses
 of distinct inputs can run concurrently.  Text that render() wrote is
 scored from the tokens it wrote and the parser's tree of them
-(analyze_rendered): it is never lexed, and parsed only by render().
+(analyze_rendered): it is never lexed, and parsed only by render().  An
+Analysis keeps the tokens it was scored from, so a caller whose source is
+canonical text (the Weyuker pool) can rename it by relabelling them.
 """
 
 from __future__ import annotations
@@ -67,12 +69,15 @@ class Metrics(Record):
 
 
 class Analysis:
-    """Everything one analysis computed, from the source text to the scores."""
+    """Everything one analysis computed, from the source text to the scores:
+    ``tokens`` are the lexer's tuples of ``source`` and ``unit`` is the
+    parser's tree of them."""
 
     def __init__(
         self,
         source: str,
         path: str,
+        tokens: list[tuple],
         unit: SourceUnit,
         resolved: ResolvedUnit,
         annotations: InfoAnnotations,
@@ -84,6 +89,7 @@ class Analysis:
     ):
         self.source = source
         self.path = path
+        self.tokens = tokens
         self.unit = unit
         self.resolved = resolved
         self.annotations = annotations
@@ -161,6 +167,7 @@ def _analyze(source: str, path: str, tokens: list[tuple], unit: SourceUnit) -> A
     return Analysis(
         source=source,
         path=path,
+        tokens=tokens,
         unit=unit,
         resolved=resolved,
         annotations=ann,

@@ -130,6 +130,7 @@ def cmd_analyze(args) -> int:
             documents.append(report_document(analysis, args.metric))
         else:
             sys.stdout.write(render_text(analysis, args.metric, granules=args.granules))
+        del analysis  # its tokens and trees are not held while the JSON is written
     if args.format == "json" and documents:
         payload = documents[0] if len(documents) == 1 else documents
         sys.stdout.write(render_json(payload))

@@ -12,6 +12,8 @@ that rewrite, which the monotonicity properties rely on.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 DEFAULT_WEIGHTS: dict[str, float] = {
@@ -38,6 +40,56 @@ DEFAULT_WEIGHTS: dict[str, float] = {
 
 _BINOPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
 _COMPOUND = ("+=", "-=", "*=", "/=", "%=")
+
+_WRITES_SCALAR = frozenset(("assign", "compound", "incdec", "print", "read_assign"))
+_NESTS = frozenset(("if", "if_else", "while", "dowhile", "for", "switch", "parallel", "interrupt", "block"))
+_TESTS_SCALAR = frozenset(("if", "if_else", "while", "dowhile", "switch"))
+_DECLARES = ("decl", "array_decl")
+
+
+class _FormTable(dict):
+    """The forms a statement is drawn from, with their cumulative weights,
+    by generator state, for one weights vector.  Every generator with those
+    weights shares the table (``_form_table``): an entry depends on nothing
+    else, and is built on first use, so only the states reached are kept.
+
+    A state is whether scalars are in scope, whether arrays are, whether a
+    nested statement fits, whether there is a helper, and, for each
+    declaration form of positive weight in `weights` order (``declares``),
+    whether its pool has a name not declared in the innermost scope.
+    """
+
+    def __init__(self, weights: tuple[tuple[str, float], ...]):
+        super().__init__()
+        self.weights = weights
+        self.declares = tuple(form for form, weight in weights if form in _DECLARES and weight > 0)
+
+    def __missing__(self, state: tuple[bool, ...]) -> tuple[list[str], list[float]]:
+        scalars, arrays, nested_ok, helper = state[:4]
+        free = {form for form, ok in zip(self.declares, state[4:]) if ok}
+        forms, w = [], []
+        for form, weight in self.weights:
+            if weight <= 0:
+                continue
+            if form in _WRITES_SCALAR and not scalars:
+                continue
+            if form == "array_assign" and not (arrays and scalars):
+                continue
+            if form in _NESTS and not nested_ok:
+                continue
+            if form in _TESTS_SCALAR and not scalars:
+                continue
+            if form == "call" and not helper:
+                continue
+            if form in _DECLARES and form not in free:
+                continue
+            forms.append(form)
+            w.append(weight)
+        entry = self[state] = forms, list(itertools.accumulate(w))
+        return entry
+
+
+_form_table = functools.lru_cache(maxsize=16)(_FormTable)
 
 
 class GeneratorConfig:
@@ -68,6 +120,9 @@ class _Gen:
         self.array_pool = [f"arr{i}" for i in range(max(1, config.variable_pool_size // 2))]
         self.budget = config.max_statements
         self.scopes: list[dict[str, bool]] = []  # name -> is_array
+        self._visible: tuple[list[str], list[str]] | None = None  # of the scopes as they are
+        self.forms = _form_table(tuple(config.weights.items()))
+        self.declare_pools = [self.pool if form == "decl" else self.array_pool for form in self.forms.declares]
         self.globals: list[str] = []
         self.helper: str | None = None
         self.lines: list[str] = []
@@ -76,19 +131,28 @@ class _Gen:
 
     def push(self) -> None:
         self.scopes.append({})
+        self._visible = None
 
     def pop(self) -> None:
         self.scopes.pop()
+        self._visible = None
 
-    def declared_here(self, name: str) -> bool:
-        return name in self.scopes[-1]
+    def declare(self, name: str, is_array: bool = False) -> None:
+        self.scopes[-1][name] = is_array
+        self._visible = None
 
-    def visible(self, arrays: bool | None = None) -> list[str]:
-        seen: dict[str, bool] = {}
-        for frame in self.scopes:
-            seen.update(frame)
-        names = [n for n, is_arr in seen.items() if arrays is None or is_arr == arrays]
-        return sorted(names)
+    def visible(self) -> tuple[list[str], list[str]]:
+        """The scalar names and the array names in scope, each sorted; the
+        lists are shared until the scopes change, so callers only read them."""
+        if self._visible is None:
+            seen: dict[str, bool] = {}
+            for frame in self.scopes:
+                seen.update(frame)
+            self._visible = (
+                sorted(n for n, is_arr in seen.items() if not is_arr),
+                sorted(n for n, is_arr in seen.items() if is_arr),
+            )
+        return self._visible
 
     # ---------- expressions ----------
 
@@ -96,11 +160,10 @@ class _Gen:
         return str(self.rng.randrange(0, 10))
 
     def atom(self) -> str:
-        scalars = self.visible(arrays=False)
+        scalars, arrays = self.visible()
         choices = ["lit"]
         if scalars:
             choices += ["var", "var"]
-        arrays = self.visible(arrays=True)
         if arrays and scalars:
             choices.append("subscript")
         if self.globals and self.rng.random() < 0.25:
@@ -130,7 +193,8 @@ class _Gen:
     # ---------- statements ----------
 
     def fresh_name(self, pool: list[str]) -> str | None:
-        free = [n for n in pool if not self.declared_here(n)]
+        here = self.scopes[-1]
+        free = [n for n in pool if n not in here]
         return self.rng.choice(free) if free else None
 
     def emit(self, depth: int, text: str) -> None:
@@ -149,34 +213,16 @@ class _Gen:
         self.pop()
 
     def pick_form(self, depth: int) -> str:
-        weights = self.cfg.weights
-        forms: list[str] = []
-        w: list[float] = []
-        scalars = self.visible(arrays=False)
-        arrays = self.visible(arrays=True)
+        scalars, arrays = self.visible()
         nested_ok = depth <= self.cfg.max_nesting_depth and self.budget >= 2
-        for form, weight in weights.items():
-            if weight <= 0:
-                continue
-            if form in ("assign", "compound", "incdec", "print", "read_assign") and not scalars:
-                continue
-            if form == "array_assign" and not (arrays and scalars):
-                continue
-            if form in ("if", "if_else", "while", "dowhile", "for", "switch", "parallel", "interrupt", "block") and not nested_ok:
-                continue
-            if form in ("if", "if_else", "while", "dowhile", "switch") and not scalars:
-                continue
-            if form == "call" and self.helper is None:
-                continue
-            if form == "decl" and self.fresh_name(self.pool) is None:
-                continue
-            if form == "array_decl" and self.fresh_name(self.array_pool) is None:
-                continue
-            forms.append(form)
-            w.append(weight)
+        # fresh_name draws from the RNG as it tests a pool, so the pools are
+        # tested in the order of the weights
+        state = (bool(scalars), bool(arrays), nested_ok, self.helper is not None,
+                 *[self.fresh_name(pool) is not None for pool in self.declare_pools])
+        forms, cum_weights = self.forms[state]
         if not forms:
             return "decl" if self.fresh_name(self.pool) else "noop"
-        return self.rng.choices(forms, weights=w, k=1)[0]
+        return self.rng.choices(forms, cum_weights=cum_weights, k=1)[0]
 
     def gen_stmt(self, depth: int) -> None:
         form = self.pick_form(depth)
@@ -187,36 +233,36 @@ class _Gen:
         if form == "decl":
             name = self.fresh_name(self.pool)
             init = self.expr()  # initializer resolves against the outer state
-            self.scopes[-1][name] = False
+            self.declare(name)
             self.emit(depth, f"int {name} = {init};")
         elif form == "array_decl":
             name = self.fresh_name(self.array_pool)
-            self.scopes[-1][name] = True
+            self.declare(name, True)
             elems = ", ".join(self.literal() for _ in range(rng.randrange(1, 4)))
             self.emit(depth, f"int {name}[] = {{{elems}}};")
         elif form == "assign":
-            self.emit(depth, f"{rng.choice(self.visible(arrays=False))} = {self.expr()};")
+            self.emit(depth, f"{rng.choice(self.visible()[0])} = {self.expr()};")
         elif form == "array_assign":
-            arr = rng.choice(self.visible(arrays=True))
-            idx = rng.choice(self.visible(arrays=False))
+            arr = rng.choice(self.visible()[1])
+            idx = rng.choice(self.visible()[0])
             self.emit(depth, f"{arr}[{idx}] = {self.expr()};")
         elif form == "compound":
-            self.emit(depth, f"{rng.choice(self.visible(arrays=False))} {rng.choice(_COMPOUND)} {self.expr()};")
+            self.emit(depth, f"{rng.choice(self.visible()[0])} {rng.choice(_COMPOUND)} {self.expr()};")
         elif form == "incdec":
-            self.emit(depth, f"{rng.choice(self.visible(arrays=False))}{rng.choice(('++', '--'))};")
+            self.emit(depth, f"{rng.choice(self.visible()[0])}{rng.choice(('++', '--'))};")
         elif form == "print":
             args = ", ".join(self.atom() for _ in range(rng.randrange(1, 3)))
             self.emit(depth, f"print({args});")
         elif form == "read_assign":
-            self.emit(depth, f"{rng.choice(self.visible(arrays=False))} = read();")
+            self.emit(depth, f"{rng.choice(self.visible()[0])} = read();")
         elif form == "call":
             arg = self.atom()
-            if rng.random() < 0.4 and self.visible(arrays=False):
-                self.emit(depth, f"{rng.choice(self.visible(arrays=False))} = {self.helper}({arg});")
+            if rng.random() < 0.4 and self.visible()[0]:
+                self.emit(depth, f"{rng.choice(self.visible()[0])} = {self.helper}({arg});")
             else:
                 self.emit(depth, f"{self.helper}({arg});")
         elif form == "return":
-            scalars = self.visible(arrays=False)
+            scalars = self.visible()[0]
             if scalars and rng.random() < 0.6:
                 self.emit(depth, f"return {rng.choice(scalars)};")
             else:
@@ -240,12 +286,12 @@ class _Gen:
             bound = self.atom()
             self.emit(depth, f"for (int {loop_var} = 0; {loop_var} < {bound}; {loop_var}++) {{")
             self.push()
-            self.scopes[-1][loop_var] = False
+            self.declare(loop_var)
             self.gen_block(depth + 1, rng.randrange(1, 3))
             self.pop()
             self.emit(depth, "}")
         elif form == "switch":
-            self.emit(depth, f"switch ({rng.choice(self.visible(arrays=False))}) {{")
+            self.emit(depth, f"switch ({rng.choice(self.visible()[0])}) {{")
             for value in range(rng.randrange(1, 3)):
                 self.emit(depth + 1, f"case {value}: {{")
                 self.nested(depth + 2, 1)
@@ -264,7 +310,7 @@ class _Gen:
             self.push()
             if rng.random() < 0.7:
                 shadow = rng.choice(self.pool)
-                self.scopes[-1][shadow] = False
+                self.declare(shadow)
                 self.budget -= 1
                 self.emit(depth + 1, f"int {shadow} = {self.literal()};")
             self.gen_block(depth + 1, rng.randrange(1, 3))
@@ -287,7 +333,7 @@ class _Gen:
             self.helper = "helper0"
             self.lines.append(f"int {self.helper}(int p0) {{")
             self.push()
-            self.scopes[-1]["p0"] = False
+            self.declare("p0")
             body = rng.randrange(1, 3)
             saved = self.budget
             self.budget = min(self.budget, 3)

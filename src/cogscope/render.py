@@ -53,6 +53,12 @@ class Rendered(str):
     tokens: list[tuple]
     unit: SourceUnit
 
+    def __new__(cls, text: str, tokens: list[tuple], unit: SourceUnit) -> Rendered:
+        self = super().__new__(cls, text)
+        self.tokens = tokens
+        self.unit = unit
+        return self
+
 
 def _inexact(what: str) -> ValueError:
     """The error for a tree whose canonical text the parser would read back as another tree, or not at all."""
@@ -415,7 +421,5 @@ def render(unit: SourceUnit) -> Rendered:
     except (ParseError, ValueError) as stop:
         fault = fault_within(layout.tokens, layout.offset)  # the parser's, before the stop, comes first
         raise (stop if fault is None else fault) from None
-    text = Rendered("".join(layout.parts))
-    text.tokens = layout.tokens
-    text.unit = parse(layout.tokens, len(text))
-    return text
+    text = "".join(layout.parts)
+    return Rendered(text, layout.tokens, parse(layout.tokens, len(text)))

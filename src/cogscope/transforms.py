@@ -4,7 +4,10 @@ Each operand is program text or an already parsed SourceUnit; operands are
 never modified.  Every operator returns its result as render() writes it: a
 `Rendered`, canonical text with its tokens and the parser's tree of them,
 so a caller scores it with analysis.analyze_rendered instead of lexing and
-parsing it again.  Concatenation merges the two mains into one:
+parsing it again.  Renaming also takes a Rendered, and relabels its tokens
+without writing the tree out again: canonical text lays out a renamed tree
+exactly as it laid out the original, its names aside.  Concatenation merges
+the two mains into one:
 
   * q's top-level re-declaration of a name from p's top level is dropped;
     its initializer (if any) survives as a plain assignment, array
@@ -22,10 +25,10 @@ from __future__ import annotations
 
 import random
 
-from .errors import DUMMY_SPAN, ResolveError
+from .errors import DUMMY_SPAN, ParseError, ResolveError
 from .lexer import BUILTINS, KEYWORDS
-from .parser import parse_source
-from .render import Rendered, render
+from .parser import parse, parse_source
+from .render import IDENT, Rendered, render
 from .resolve import resolve
 from .syntax import (
     NODE_CLASSES,
@@ -101,23 +104,81 @@ def _collect_names(unit: SourceUnit) -> set[str]:
 _IDENT_OK = __import__("re").compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _names(tokens: list[tuple]) -> set[str]:
+    """Every name the program declares or uses, read off its tokens: the
+    identifiers but the builtins (which only a program that fails to resolve
+    declares)."""
+    return {token[1] for token in tokens if token[0] == IDENT} - BUILTINS
+
+
+def _bijection(names: set[str], mapping: dict[str, str]) -> dict[str, str]:
+    """`mapping` over `names`, a name it leaves out kept; it must be one-to-one."""
+    full = {name: mapping.get(name, name) for name in names}
+    if len(set(full.values())) != len(full):
+        raise ValueError("renaming is not bijective over the program's names")
+    return full
+
+
 def rename(program: str | SourceUnit, mapping: dict[str, str]) -> Rendered:
     """Apply a bijective renaming of identifiers; structure stays identical.
 
-    Raises ValueError for non-bijective mappings, invalid or reserved target
-    names, or attempts to rename 'main'.
+    The renaming relabels a canonical layout: a Rendered's own tokens, or
+    those render() writes for text or a tree.  Each identifier token in the
+    mapping takes its new name, and later offsets, and later columns on its
+    line, move by the change in length; the canonical layout does not depend
+    on how long a name is, so this is render() of the renamed tree.  The
+    parser reads the new tokens for the result's tree.
+
+    Raises the parser's error for text that does not parse, then ValueError
+    for invalid or reserved target names or attempts to rename 'main', then
+    for a mapping that is not bijective over the program's names, and last
+    render()'s refusal of the renamed tree: a tree that render() refuses has
+    no layout to relabel, so it is copied with its names replaced and the
+    copy is rendered.
     """
-    unit = _unit(program)
-    names = _collect_names(unit)
+    unit = None if isinstance(program, Rendered) else _unit(program)
     for src, dst in mapping.items():
         if dst in KEYWORDS or dst in BUILTINS or not _IDENT_OK.match(dst):
             raise ValueError(f"invalid rename target {dst!r}")
         if src == "main" and dst != "main":
             raise ValueError("cannot rename 'main'")
-    full = {name: mapping.get(name, name) for name in names}
-    if len(set(full.values())) != len(full):
-        raise ValueError("renaming is not bijective over the program's names")
-    return render(_renamed(unit, full))
+    if unit is not None:
+        try:
+            program = render(unit)
+        except (ParseError, ValueError):  # no layout to relabel: render() decides on the renamed tree
+            return render(_renamed(unit, _bijection(_collect_names(unit), mapping)))
+    full = _bijection(_names(program.tokens), mapping)
+    return _relabel(program, {name: new for name, new in full.items() if new != name})
+
+
+def _relabel(program: Rendered, changes: dict[str, str]) -> Rendered:
+    """`program` with the text of every token in `changes` replaced.
+
+    Only an identifier token's text is a name.  The text between tokens is
+    kept, so each replaced token moves every later offset, and every later
+    column on its line, by its change in length.
+    """
+    parts: list[str] = []
+    tokens: list[tuple] = []
+    last = shift = line = line_shift = 0  # end of the last replaced token; offset and column moves
+    for token in program.tokens:
+        kind, word, start, end, at, col = token
+        if at != line:
+            line, line_shift = at, 0
+        new = changes.get(word)
+        if new is not None:
+            parts += (program[last:start], new)
+            last = end
+            token = (kind, new, start + shift, start + shift + len(new), at, col + line_shift)
+            grow = len(new) - len(word)
+            shift += grow
+            line_shift += grow
+        elif shift or line_shift:
+            token = (kind, word, start + shift, end + shift, at, col + line_shift)
+        tokens.append(token)
+    parts.append(program[last:])
+    text = "".join(parts)
+    return Rendered(text, tokens, parse(tokens, len(text)))
 
 
 # ============================================================

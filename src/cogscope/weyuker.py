@@ -16,9 +16,12 @@ All candidate programs are evaluated in canonical rendered form so that
 line-based metrics compare rendered text with rendered text.  Whatever does
 not depend on the metric is done once per harness: each candidate's
 canonical text and values, each composition of candidates, and each
-permutation check.  A pool program is lexed and parsed once; its
-composition and its renaming are scored from the tokens render() wrote and
-the parser's tree of them (analysis.analyze_rendered), never lexed.
+permutation check.  A pool program is lexed and parsed once.  Its
+composition is scored from the tokens render() wrote and the parser's tree
+of them (analysis.analyze_rendered), never lexed.  Generator text is
+canonical, so its renaming relabels the identifier tokens that its one
+analysis lexed, and is scored from those tokens and the parser's tree of
+them, never written out or lexed again.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .generator import GeneratorConfig, generate
 from .parser import parse_source
 from .render import Rendered, render
 from .syntax import SourceUnit, structure_key
-from .transforms import _collect_names, _unit, concat, rename
+from .transforms import _names, _unit, concat, rename
 
 PROPERTY_IDS = ("1", "2", "3", "4", "5", "6a", "6b", "7", "8", "9")
 
@@ -224,9 +227,9 @@ def _scored(program: Rendered) -> tuple[Rendered, dict[str, float | int]]:
     return program, _metric_values(analyze_rendered(program))
 
 
-def _rename_mapping(rng: random.Random, unit: SourceUnit) -> dict[str, str]:
-    """A random bijection of the program's names, 'main' excepted, onto fresh names."""
-    names = sorted(_collect_names(unit) - {"main"})
+def _rename_mapping(rng: random.Random, tokens: list[tuple]) -> dict[str, str]:
+    """A random bijection of the names in a program's tokens, 'main' excepted, onto fresh names."""
+    names = sorted(_names(tokens) - {"main"})
     shuffled = names[:]
     rng.shuffle(shuffled)
     return {a: f"w{idx}_{b}" for idx, (a, b) in enumerate(zip(names, shuffled))}
@@ -405,7 +408,9 @@ class WeyukerHarness:
         """(pool, concat, rename) values of trials start..stop-1.
 
         The one analysis of each pool program gives the unit that its
-        concatenations and its renaming use, so each program is parsed once,
+        concatenations use and the layout that its renaming relabels:
+        generator text is canonical, so its source, tokens and tree are the
+        Rendered that render() would write.  Each program is parsed once,
         and only the analyses of pool[start] and of the current trial's two
         programs are alive at a time.
         """
@@ -414,11 +419,11 @@ class WeyukerHarness:
         for i in range(start, stop):
             j = (i + 1) % self.trials
             q = first if j == start else analyze_source(self._pool_text(j))
-            rng = random.Random(f"rename:{self.seed}:{i}")
+            mapping = _rename_mapping(random.Random(f"rename:{self.seed}:{i}"), p.tokens)
             rows.append((
                 _metric_values(p),
                 _metric_values(analyze_rendered(concat(p.unit, q.unit))),
-                _metric_values(analyze_rendered(rename(p.unit, _rename_mapping(rng, p.unit)))),
+                _metric_values(analyze_rendered(rename(Rendered(p.source, p.tokens, p.unit), mapping))),
             ))
             p = q
         return rows

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from cogscope.analysis import analyze_source
 from cogscope.generator import DEFAULT_WEIGHTS, GeneratorConfig, generate
 from cogscope.parser import parse_source
@@ -125,3 +129,34 @@ def test_large_generated_programs_are_canonical_text():
     for seed in range(3):
         config = GeneratorConfig(seed=seed, max_statements=1200, max_nesting_depth=4, variable_pool_size=12)
         _assert_canonical(generate(config), seed)
+
+
+# ---------- the generator's bytes are pinned ----------
+# The benchmark's inputs and the Weyuker pool come from the generator, so its
+# output for a seed must not change.  Each digest is the sha256 of the outputs
+# for seeds 0 to count - 1, concatenated.
+
+GENERATED_SHA256 = {
+    "weyuker pool": (dict(max_statements=8, max_nesting_depth=2, variable_pool_size=5), 100,
+                     "10b33f9fd7fc467bcb8049c7a64572903227016d4cd37db28bf8f525620f31e9"),
+    "corpus, smallest": (dict(max_statements=4, max_nesting_depth=1, variable_pool_size=3), 100,
+                         "aac2f541948cc236d9624f3124391b968a3e29400b0c465165acf76e4a42213f"),
+    "corpus, largest": (dict(max_statements=40, max_nesting_depth=4, variable_pool_size=8), 100,
+                        "e2a61b682d646b264be7665ede658569e07f5fad4889a6bb4ff620161c5a23a1"),
+    "analyze-large": (dict(max_statements=1200, max_nesting_depth=4, variable_pool_size=12), 3,
+                      "5d8a00a9a9abebd4eaa097dbd6f0f76f428aaa67c4ff75278fb317520fc6a5bf"),
+    # array declarations weighted before scalar ones: the pools are tested,
+    # and draw from the RNG, in the order of the weights
+    "array_decl first": (dict(weights={"array_decl": 1.0, "print": 1.0, "decl": 2.0, "assign": 3.0,
+                                       "while": 1.0, "call": 1.0}), 100,
+                         "c9ec2b152676acf168211676df9039ccaa4b5f38282acf3d7466973f5456677d"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED_SHA256))
+def test_generated_bytes_are_pinned(label):
+    settings, count, expected = GENERATED_SHA256[label]
+    digest = hashlib.sha256()
+    for seed in range(count):
+        digest.update(generate(GeneratorConfig(seed=seed, **settings)).encode())
+    assert digest.hexdigest() == expected

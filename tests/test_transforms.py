@@ -8,8 +8,10 @@ from _checks import same_structure
 from _replay import oracle_escim, oracle_i, oracle_si, replay
 from test_info import FULL_LANGUAGE, TERSE_FORMS
 
+from cogscope.errors import ParseError
 from cogscope.analysis import METRIC_IDS, analyze_rendered, analyze_source, metric_value
 from cogscope.generator import GeneratorConfig, generate
+from cogscope.lexer import tokenize
 from cogscope.parser import parse_source
 from cogscope.render import render
 from cogscope.resolve import resolve
@@ -144,6 +146,65 @@ def test_rename_of_a_parsed_unit_equals_rename_of_its_text():
             mapping = {name: f"r_{name}" for name in _collect_names(unit) - {"main"}}
             assert rename(unit, mapping) == rename(before, mapping)
             assert render(unit) == before  # operand unchanged
+
+
+def _relabel_programs(fixtures_dir):
+    """The fixtures, the two full-language programs and 300 generated programs."""
+    yield from (path.read_text() for path in sorted(fixtures_dir.glob("*.ml1")))
+    yield FULL_LANGUAGE
+    yield TERSE_FORMS
+    rng = random.Random(29)
+    for _ in range(300):
+        yield generate(GeneratorConfig(seed=rng.randrange(2**62), max_statements=rng.randint(0, 12),
+                                       max_nesting_depth=rng.randint(1, 3), variable_pool_size=rng.randint(1, 6)))
+
+
+def test_rename_relabels_the_identifier_tokens_of_the_layout(fixtures_dir):
+    from cogscope.transforms import _collect_names, _renamed
+
+    rng = random.Random(30)
+    for text in _relabel_programs(fixtures_dir):
+        laid = render(parse_source(text))
+        names = sorted(_collect_names(laid.unit) - {"main"})
+        targets = [f"r{i}" + "_" * rng.randrange(0, 9) for i in range(len(names))]  # shorter and longer
+        rng.shuffle(targets)
+        mapping = dict(zip(names, targets))
+        before = list(laid.tokens)
+        renamed = rename(laid, mapping)
+        assert laid.tokens == before  # operand unchanged
+        # the relabelled layout is render() of the renamed tree, and the layout of its text
+        expected = render(_renamed(laid.unit, mapping))
+        for other in (renamed, rename(laid.unit, mapping), rename(str(laid), mapping), rename(text, mapping)):
+            assert str(other) == str(expected)
+            assert other.tokens == expected.tokens
+            assert other.unit == expected.unit  # spans included
+        assert renamed.tokens == tokenize(str(renamed))
+        assert renamed.unit == parse_source(str(renamed))
+        # only identifier texts, and the positions after them, change
+        assert len(renamed.tokens) == len(before)
+        for (kind, old, *_, line, _), (new_kind, new, *_, new_line, _) in zip(before, renamed.tokens):
+            assert (new_kind, new_line) == (kind, line)
+            assert new == (mapping.get(old, old) if kind == "identifier" else old)
+
+
+def test_rename_raises_in_order():
+    bad_target, not_bijective = {"a": "while"}, {"a": "b"}
+    with pytest.raises(ParseError):  # the parse error before a bad target
+        rename("void main(){int a = ;}", bad_target)
+    program = "void main(){int a; int b; a = b;}"
+    for operand in (program, parse_source(program), render(parse_source(program))):
+        with pytest.raises(ValueError, match="^invalid rename target 'while'$"):  # a bad target before a clash
+            rename(operand, {**not_bijective, "b": "while"})
+        with pytest.raises(ValueError, match="^cannot rename 'main'$"):
+            rename(operand, {**not_bijective, "main": "other"})
+        with pytest.raises(ValueError, match="bijective"):
+            rename(operand, not_bijective)
+    refused = parse_source("void main(){int a = 1 + 2; int b;}")
+    refused.function("main").body.stmts[0].declarators[0].init.op = "**"
+    with pytest.raises(ValueError, match="bijective"):  # a clash before render's refusal
+        rename(refused, not_bijective)
+    with pytest.raises(ValueError, match="^no canonical text reads back as "):
+        rename(refused, {"a": "c"})
 
 
 # ---------- rename ----------
@@ -297,5 +358,5 @@ def test_replay_oracle_agrees_on_concat_and_rename_output():
     units = [parse_source(text) for text in harness.pool()]
     for i, unit in enumerate(units):
         _assert_oracle_agrees(concat(unit, units[(i + 1) % len(units)]), f"concat of pool {i} and {i + 1}")
-        mapping = _rename_mapping(random.Random(f"rename:3:{i}"), unit)
+        mapping = _rename_mapping(random.Random(f"rename:3:{i}"), tokenize(harness.pool()[i]))
         _assert_oracle_agrees(rename(unit, mapping), f"rename of pool {i}")
